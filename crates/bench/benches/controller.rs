@@ -326,7 +326,6 @@ fn mode_label(mode: ParallelMode) -> &'static str {
     match mode {
         ParallelMode::Pooled => "pooled",
         ParallelMode::PooledAuto => "pooled-auto",
-        ParallelMode::Scoped => "scoped",
     }
 }
 
@@ -589,21 +588,31 @@ fn bench_grid_overhead() -> GridOverhead {
 const GRID_IDLE_BUDGET: f64 = 0.01;
 
 /// The commit whose re-measured bench is baked into
-/// [`PR9_BASELINE`] and whose layout produced
-/// [`ROOFLINE_BASELINE_FUSED_768`]: the PR 9 tip.
+/// [`PR9_BASELINE`]: the PR 9 tip.
 const BASELINE_COMMIT: &str = "b3f5e71";
+
+/// The commit whose layout produced [`ROOFLINE_BASELINE_FUSED_768`].
+const ROOFLINE_BASELINE_COMMIT: &str = "918d456";
 
 /// Baked fused-roofline baseline for the worst-case 768-RPP shape
 /// (122,880 servers), in bytes per tick — the value
-/// [`dynamo::Fleet::bytes_per_tick`] reports for this PR's hot/cold
-/// layout. The gate fails the bench when the *current* fused roofline
+/// [`dynamo::Fleet::bytes_per_tick`] reports for the hot/cold tile
+/// layout at [`ROOFLINE_BASELINE_COMMIT`] (the model reads allocation
+/// lengths, so any host reproduces it). The gate fails the bench when the *current* fused roofline
 /// exceeds this by more than [`ROOFLINE_GATE_MAX_REGRESSION`]: the
 /// model is analytical (derived from live allocation lengths, no
 /// timing involved), so the gate is always armed — a single-core or
 /// noisy host cannot produce a false positive, only a real layout
 /// regression (an array added to the settle stride, a mask unpacked
 /// back to `f64`) can.
-const ROOFLINE_BASELINE_FUSED_768: u64 = 0;
+const ROOFLINE_BASELINE_FUSED_768: u64 = 7_422_048;
+
+// An unset baseline would make the gate fail every run; refuse to
+// build instead.
+const _: () = assert!(
+    ROOFLINE_BASELINE_FUSED_768 > 0,
+    "bake the measured fused roofline into ROOFLINE_BASELINE_FUSED_768"
+);
 
 /// Allowed growth of the fused roofline before the gate fails: 5%.
 const ROOFLINE_GATE_MAX_REGRESSION: f64 = 0.05;
@@ -629,7 +638,7 @@ fn roofline_768() -> dynamo::TickTraffic {
     println!("  fused      {:>12} bytes/tick", t.fused);
     println!("  unfused    {:>12} bytes/tick", t.unfused);
     println!(
-        "  ratio      {:>12.2}x   (baseline fused {} @ {BASELINE_COMMIT}, gate at +{:.0}%)",
+        "  ratio      {:>12.2}x   (baseline fused {} @ {ROOFLINE_BASELINE_COMMIT}, gate at +{:.0}%)",
         t.unfused as f64 / t.fused as f64,
         ROOFLINE_BASELINE_FUSED_768,
         ROOFLINE_GATE_MAX_REGRESSION * 100.0
@@ -674,8 +683,7 @@ const WORST_CASE_GATE_FLOOR: f64 = 0.95;
 /// worker pool, clamped to the host's cores, which is what a real
 /// deployment should run. The headline `speedup_64rpps_8_threads` is a
 /// separate paired interleaved best-of comparison so scheduler noise
-/// cannot bias it; `pool_vs_scoped` isolates the pool's win over the
-/// legacy per-call scoped threads at a fixed (unclamped) 8 threads.
+/// cannot bias it.
 /// The JSON records the host parallelism and each cell's effective
 /// thread count so every number is interpretable.
 fn bench_control_plane_matrix(obs: &ObsOverhead, grid: &GridOverhead) {
@@ -729,10 +737,6 @@ fn bench_control_plane_matrix(obs: &ObsOverhead, grid: &GridOverhead) {
                 spread,
                 hold,
                 workload,
-            );
-            assert!(
-                threads == 1 || dc.system().supports_parallel_leaves(),
-                "matrix topology must support parallel leaves"
             );
             let servers = dc.fleet().len();
             let effective_threads = dc.effective_worker_threads();
@@ -813,21 +817,8 @@ fn bench_control_plane_matrix(obs: &ObsOverhead, grid: &GridOverhead) {
             || matrix_datacenter(1, 8, 8, 8, ParallelMode::PooledAuto, SimDuration::ZERO),
         );
         let speedup = auto8 / serial;
-
-        // The pool's win over the legacy scoped-thread dispatch at a
-        // fixed 8 threads — both sides pay the same oversubscription,
-        // so the difference is persistent-parked-workers vs spawn/join
-        // per call.
-        let (pooled8, scoped8) = paired_best_of(
-            5,
-            || matrix_datacenter(1, 8, 8, 8, ParallelMode::Pooled, SimDuration::ZERO),
-            || matrix_datacenter(1, 8, 8, 8, ParallelMode::Scoped, SimDuration::ZERO),
-        );
-        let pool_vs_scoped = pooled8 / scoped8;
-
         println!("  speedup at 64 RPPs, 8 threads (auto) vs 1: {speedup:.2}x ({auto8:.0} vs {serial:.0} ticks/s)");
-        println!("  pool vs scoped at 64 RPPs, 8 threads: {pool_vs_scoped:.2}x ({pooled8:.0} vs {scoped8:.0} ticks/s)");
-        Some((speedup, pooled8, scoped8, pool_vs_scoped))
+        Some(speedup)
     } else {
         println!("  single-core host: every cell clamped to 1 worker; speedup fields suppressed");
         None
@@ -864,12 +855,13 @@ fn bench_control_plane_matrix(obs: &ObsOverhead, grid: &GridOverhead) {
     };
     let mut worst_gate: Option<(usize, u64, f64)> = None;
     if armed {
-        for p8 in points.iter().filter(|p| {
-            p.workload == "worst_case" && p.threads == 8 && p.effective_threads > 1
-        }) {
+        for p8 in points
+            .iter()
+            .filter(|p| p.workload == "worst_case" && p.threads == 8 && p.effective_threads > 1)
+        {
             if let Some(serial) = wc_cell(p8.rpps, 1, p8.phase_spread_ms) {
                 let ratio = p8.ticks_per_sec / serial.ticks_per_sec;
-                if worst_gate.map_or(true, |(_, _, w)| ratio < w) {
+                if worst_gate.is_none_or(|(_, _, w)| ratio < w) {
                     worst_gate = Some((p8.rpps, p8.phase_spread_ms, ratio));
                 }
             }
@@ -908,9 +900,9 @@ fn bench_control_plane_matrix(obs: &ObsOverhead, grid: &GridOverhead) {
         ));
     }
     json.push_str("  ],\n");
-    if let Some((speedup, pooled8, scoped8, pool_vs_scoped)) = speedups {
+    if let Some(speedup) = speedups {
         json.push_str(&format!(
-            "  \"parallel_speedup\": {{\"speedup_64rpps_8_threads\": {speedup:.3}, \"pool_vs_scoped\": {{\"rpps\": 64, \"threads\": 8, \"pooled_ticks_per_sec\": {pooled8:.1}, \"scoped_ticks_per_sec\": {scoped8:.1}, \"ratio\": {pool_vs_scoped:.3}}}}},\n"
+            "  \"parallel_speedup\": {{\"speedup_64rpps_8_threads\": {speedup:.3}}},\n"
         ));
     } else {
         json.push_str("  \"parallel_speedup\": {\"suppressed_reason\": \"single_core_host\"},\n");
@@ -937,7 +929,7 @@ fn bench_control_plane_matrix(obs: &ObsOverhead, grid: &GridOverhead) {
     ));
     json.push_str(&format!("  \"baseline_commit\": \"{BASELINE_COMMIT}\",\n"));
     json.push_str(&format!(
-        "  \"bytes_per_tick\": {{\"rpps\": 768, \"servers\": 122880, \"workload\": \"worst_case\", \"fused\": {}, \"unfused\": {}, \"unfused_over_fused\": {:.3}, \"baseline_fused\": {ROOFLINE_BASELINE_FUSED_768}, \"baseline_commit\": \"{BASELINE_COMMIT}\", \"gate\": {{\"armed\": true, \"max_regression_pct\": {:.1}, \"enforced_by\": \"cargo bench -p bench --bench controller -- --roofline-gate\"}}}},\n",
+        "  \"bytes_per_tick\": {{\"rpps\": 768, \"servers\": 122880, \"workload\": \"worst_case\", \"fused\": {}, \"unfused\": {}, \"unfused_over_fused\": {:.3}, \"baseline_fused\": {ROOFLINE_BASELINE_FUSED_768}, \"baseline_commit\": \"{ROOFLINE_BASELINE_COMMIT}\", \"gate\": {{\"armed\": true, \"max_regression_pct\": {:.1}, \"enforced_by\": \"cargo bench -p bench --bench controller -- --roofline-gate\"}}}},\n",
         roofline.fused,
         roofline.unfused,
         roofline.unfused as f64 / roofline.fused as f64,

@@ -259,11 +259,10 @@ impl DatacenterBuilder {
         self
     }
 
-    /// Parallel dispatch strategy for both hot fan-outs (default
-    /// [`ParallelMode::Pooled`]: a persistent worker pool of exactly
-    /// [`DatacenterBuilder::worker_threads`] threads). Use
-    /// [`ParallelMode::PooledAuto`] to clamp at the host's cores, or
-    /// [`ParallelMode::Scoped`] for the legacy per-call threads.
+    /// How the worker pool every hot fan-out dispatches onto is sized
+    /// (default [`ParallelMode::Pooled`]: exactly
+    /// [`DatacenterBuilder::worker_threads`] lanes). Use
+    /// [`ParallelMode::PooledAuto`] to clamp at the host's cores.
     pub fn parallel_mode(mut self, mode: ParallelMode) -> Self {
         self.parallel = mode;
         self

@@ -16,24 +16,23 @@ use crate::obs::TickPhase;
 use crate::telemetry::{BreakerEvent, Telemetry, TelemetryState};
 use crate::validator::{BreakerValidator, ValidatorState};
 
-/// How the datacenter parallelizes its two hot fan-outs — fleet physics
-/// ([`Fleet::step_parallel`]) and same-instant leaf control dispatch.
+/// How the datacenter sizes the worker pool its hot fan-outs — fleet
+/// physics, same-instant leaf dispatch and the breaker-fold precompute
+/// — dispatch onto. Every fan-out runs through the pool at every width;
+/// width 1 is a single job on the stepping thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ParallelMode {
-    /// Persistent worker pool with exactly the requested thread count
-    /// (the default). Workers are created once, parked between
-    /// dispatches, and woken through atomic-flag mailboxes.
+    /// A pool exactly as wide as the requested thread count (the
+    /// default). The stepping thread is lane 0; the other lanes are
+    /// workers created once, parked between dispatches, and woken
+    /// through atomic-flag mailboxes.
     #[default]
     Pooled,
-    /// Persistent worker pool clamped to the host's available
-    /// parallelism: requesting more threads than cores oversubscribes
-    /// the host and slows the run down, so the extra workers are simply
-    /// not created. The simulation stays bit-identical — only wall
-    /// clock changes.
+    /// A pool clamped to the host's available parallelism: requesting
+    /// more threads than cores oversubscribes the host and slows the
+    /// run down, so the extra workers are simply not created. The
+    /// simulation stays bit-identical — only wall clock changes.
     PooledAuto,
-    /// Legacy dispatch: scoped threads spawned per call, no persistent
-    /// pool. Kept as the baseline the pool is benchmarked against.
-    Scoped,
 }
 
 /// A running datacenter: topology + fleet + control plane + telemetry,
@@ -64,15 +63,14 @@ pub struct Datacenter {
     /// Cross-validation of controller aggregates against coarse breaker
     /// readings (§VI).
     validator: BreakerValidator,
-    /// Requested worker threads for fleet physics and leaf dispatch
-    /// (1 = serial).
+    /// Requested worker threads for fleet physics and leaf dispatch.
     worker_threads: usize,
-    /// Parallel dispatch strategy.
+    /// How the request is clamped into a pool width.
     parallel_mode: ParallelMode,
-    /// Threads actually used after applying the mode's clamping.
-    effective_threads: usize,
-    /// The shared persistent worker pool (pooled modes, threads > 1).
-    pool: Option<Arc<WorkerPool>>,
+    /// The worker pool every fan-out dispatches onto, shared with the
+    /// fleet and the control plane; its width is the effective thread
+    /// count.
+    pool: Arc<WorkerPool>,
     /// Contiguous server-id range per device, when its subtree is one —
     /// always true for grid topologies — so subtree power aggregation
     /// is a flat slice scan instead of an id-list walk.
@@ -165,9 +163,9 @@ struct DrawCache {
     /// then MSBs), ascending within each level — the level-order SoA
     /// view of the tree. Each device's fold reads only fleet arrays
     /// (never another device's draw), so positions are independent and
-    /// [`Datacenter::precompute_draws_parallel`] chunks them across
-    /// workers; the order is fixed so chunk boundaries, and therefore
-    /// which worker computes what, never affect the result. Empty when
+    /// [`Datacenter::precompute_draws`] chunks them across pool lanes;
+    /// the order is fixed so chunk boundaries, and therefore which lane
+    /// computes what, never affect the result. Empty when
     /// the topology has a device outside the four grid levels, which
     /// disables the parallel pass rather than stepping a breaker
     /// against a stale draw.
@@ -184,7 +182,7 @@ struct DrawCache {
     /// Cached chunk ends (exclusive, into `fold_order`) so the
     /// steady-state dispatch allocates nothing.
     chunk_ends: Vec<usize>,
-    /// Worker count `chunk_ends` was balanced for (0 = never).
+    /// Pool width `chunk_ends` was balanced for (0 = never).
     chunks_for: usize,
 }
 
@@ -301,39 +299,35 @@ impl Datacenter {
             subtree.iter().map(|ids| contiguous_range(ids)).collect();
         let device_ids: Vec<DeviceId> = topo.iter().map(|d| d.id).collect();
         let breaker_status = vec![BreakerStatus::Nominal; topo.device_count()];
-        let mut fleet = fleet;
-        if let Some(spans) = system.leaf_spans() {
-            // Let the fleet maintain per-leaf power partials, so leaf
-            // aggregate pulls are single lookups.
-            fleet.set_leaf_spans(spans);
-        }
+        let (mut fleet, mut system) = (fleet, system);
+        let pool = Arc::new(WorkerPool::new(1));
+        fleet.attach_pool(Arc::clone(&pool));
+        system.attach_pool(Arc::clone(&pool));
+        // Let the fleet maintain per-leaf power partials, so leaf
+        // aggregate pulls are single lookups.
+        let spans = system.leaf_spans();
+        fleet.set_leaf_spans(spans);
         let n_dev = topo.device_count();
-        let leaf_range = match system.leaf_spans() {
-            Some(spans) => subtree_range
-                .iter()
-                .map(|r: &Option<Range<usize>>| {
-                    r.as_ref().map(|r| {
-                        let l0 = spans.partition_point(|s| s.end <= r.start);
-                        let l1 = spans.partition_point(|s| s.start < r.end);
-                        l0..l1
-                    })
+        let leaf_range: Vec<Option<Range<usize>>> = subtree_range
+            .iter()
+            .map(|r: &Option<Range<usize>>| {
+                r.as_ref().map(|r| {
+                    let l0 = spans.partition_point(|s| s.end <= r.start);
+                    let l1 = spans.partition_point(|s| s.start < r.end);
+                    l0..l1
                 })
-                .collect(),
-            None => vec![None; n_dev],
-        };
-        let tiled = match system.leaf_spans() {
-            Some(spans) => leaf_range
-                .iter()
-                .zip(&subtree_range)
-                .map(|(lr, sr)| match (lr, sr) {
-                    (Some(lr), Some(sr)) if lr.start < lr.end => {
-                        spans[lr.start].start == sr.start && spans[lr.end - 1].end == sr.end
-                    }
-                    _ => false,
-                })
-                .collect(),
-            None => vec![false; n_dev],
-        };
+            })
+            .collect();
+        let tiled: Vec<bool> = leaf_range
+            .iter()
+            .zip(&subtree_range)
+            .map(|(lr, sr)| match (lr, sr) {
+                (Some(lr), Some(sr)) if lr.start < lr.end => {
+                    spans[lr.start].start == sr.start && spans[lr.end - 1].end == sr.end
+                }
+                _ => false,
+            })
+            .collect();
         // Level-order fold layout for the parallel breaker pass:
         // bottom-up so a chunk boundary can only ever split within a
         // level, never interleave levels.
@@ -392,8 +386,7 @@ impl Datacenter {
             validator,
             worker_threads: 1,
             parallel_mode: ParallelMode::default(),
-            effective_threads: 1,
-            pool: None,
+            pool,
             subtree_range,
             watched_scratch: Vec::new(),
             alerts_seen: 0,
@@ -426,8 +419,8 @@ impl Datacenter {
 
     /// Sets the number of worker threads used for fleet physics *and*
     /// leaf control cycles. The simulation is bit-identical at any
-    /// thread count. Under the pooled modes (the default) this creates
-    /// or resizes the persistent worker pool shared by both fan-outs.
+    /// thread count. This resizes the worker pool shared by every
+    /// fan-out when the effective width changes.
     ///
     /// # Panics
     ///
@@ -446,45 +439,37 @@ impl Datacenter {
         self.apply_threads();
     }
 
-    /// The threads actually in use after the mode's clamping —
-    /// [`ParallelMode::PooledAuto`] caps at the host's available
-    /// parallelism, the pooled modes at the pool's maximum size.
+    /// The threads actually in use after the mode's clamping — the
+    /// pool's width. [`ParallelMode::PooledAuto`] caps at the host's
+    /// available parallelism, both modes at [`dynpool::MAX_WORKERS`].
     pub fn effective_worker_threads(&self) -> usize {
-        self.effective_threads
+        self.pool.workers()
     }
 
-    /// Resolves `(worker_threads, parallel_mode)` into a pool and a
-    /// dispatch width, tearing down or rebuilding the shared pool only
-    /// when the effective size changes.
+    /// The worker pool every fan-out dispatches onto. Embedders may
+    /// dispatch their own per-lane work on it between steps, such as
+    /// per-thread instrumentation setup: lanes `1..` are the same
+    /// worker threads at every dispatch, and lane 0 is the thread
+    /// calling [`Datacenter::step`].
+    pub fn worker_pool(&self) -> &WorkerPool {
+        &self.pool
+    }
+
+    /// Resolves `(worker_threads, parallel_mode)` into a pool width,
+    /// rebuilding the shared pool (and re-attaching it to the fleet and
+    /// the control plane) only when the width changes.
     fn apply_threads(&mut self) {
-        let requested = self.worker_threads;
-        let (pool_size, dispatch) = match self.parallel_mode {
-            ParallelMode::Scoped => (0, requested),
-            ParallelMode::Pooled => {
-                let e = requested.min(MAX_WORKERS);
-                (e, e)
-            }
-            ParallelMode::PooledAuto => {
-                let cores = std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1);
-                let e = requested.min(cores).min(MAX_WORKERS);
-                (e, e)
-            }
+        let cap = match self.parallel_mode {
+            ParallelMode::Pooled => MAX_WORKERS,
+            ParallelMode::PooledAuto => std::thread::available_parallelism()
+                .map_or(1, |n| n.get())
+                .min(MAX_WORKERS),
         };
-        self.effective_threads = dispatch;
-        self.system.set_control_threads(dispatch);
-        if pool_size > 1 {
-            if self.pool.as_ref().map(|p| p.workers()) != Some(pool_size) {
-                self.pool = Some(Arc::new(WorkerPool::new(pool_size)));
-            }
-            let pool = self.pool.as_ref().expect("pool built above");
-            self.fleet.attach_pool(Arc::clone(pool));
-            self.system.attach_pool(Arc::clone(pool));
-        } else {
-            self.pool = None;
-            self.fleet.detach_pool();
-            self.system.detach_pool();
+        let width = self.worker_threads.min(cap);
+        if self.pool.workers() != width {
+            self.pool = Arc::new(WorkerPool::new(width));
+            self.fleet.attach_pool(Arc::clone(&self.pool));
+            self.system.attach_pool(Arc::clone(&self.pool));
         }
     }
 
@@ -612,24 +597,23 @@ impl Datacenter {
         self.fleet.mean_performance(&self.subtree[device.index()])
     }
 
-    /// Phase A of the parallel breaker pass: computes every device's
-    /// subtree draw into the cache's level-order scratch arrays across
-    /// the worker threads, then folds the results back into the cache
-    /// serially in fold order. Each position's value is exactly what
-    /// the serial pass would have produced for that device *before any
+    /// Phase A of the breaker pass: computes every device's subtree
+    /// draw into the cache's level-order scratch arrays, one chunk per
+    /// pool lane, then folds the results back into the cache serially
+    /// in fold order. Each position's value is exactly what a live
+    /// cached fold would have produced for that device *before any
     /// breaker stepped this tick* — same watermark check, same
     /// per-device fold association — so the pass is bit-identical at
-    /// any worker count and in either dispatch mode.
+    /// any pool width.
     ///
     /// Returns `false` (leaving the cache untouched) when the pass
-    /// cannot run: serial width, a dirty fleet power cache, a stale
-    /// span generation, or no level-order layout. The caller then
-    /// steps breakers against live cached folds exactly as before.
-    fn precompute_draws_parallel(&mut self) -> bool {
+    /// cannot run: a dirty fleet power cache, a stale span generation,
+    /// or no level-order layout. The caller then steps breakers against
+    /// live cached folds.
+    fn precompute_draws(&mut self) -> bool {
         let n = self.draw_cache.fold_order.len();
-        let njobs = self.effective_threads.min(MAX_WORKERS).min(n);
-        if njobs <= 1
-            || n != self.device_ids.len()
+        let njobs = self.pool.workers().min(n);
+        if n != self.device_ids.len()
             || self.fleet.power_cache_dirty()
             || self.fleet.leaf_span_generation() != self.draw_cache.generation
         {
@@ -684,8 +668,8 @@ impl Datacenter {
             let watermark = &watermark[..];
             let fold_order = &fold_order[..];
 
-            // What the serial pass would compute for device `i` at this
-            // instant: a cache hit when the covering-epoch sum still
+            // What a live cached fold would compute for device `i` at
+            // this instant: a cache hit when the covering-epoch sum still
             // matches, the fixed-association refold otherwise.
             let compute = |i: usize| -> (f64, u64) {
                 if let Some(lr) = &leaf_range[i] {
@@ -715,7 +699,7 @@ impl Datacenter {
                 }
             };
 
-            // Carve the scratch arrays into per-chunk jobs (stack
+            // Split the scratch arrays into per-chunk jobs (stack
             // slots, no allocation).
             let mut jobs: [Option<FoldJob>; MAX_WORKERS] = std::array::from_fn(|_| None);
             let mut order_rest = fold_order;
@@ -738,23 +722,14 @@ impl Datacenter {
                 start = end;
             }
 
-            match &self.pool {
-                Some(pool) => pool.run_on(&mut jobs[..njobs], |_w, slot| {
-                    let job = slot.as_mut().expect("fold chunk slot filled above");
-                    run_chunk(job);
-                }),
-                // Scoped mode: per-call scoped threads, same chunks.
-                None => std::thread::scope(|scope| {
-                    for slot in jobs[..njobs].iter_mut() {
-                        let job = slot.as_mut().expect("fold chunk slot filled above");
-                        scope.spawn(move || run_chunk(job));
-                    }
-                }),
-            }
+            self.pool.run_on(&mut jobs[..njobs], |_w, slot| {
+                let job = slot.as_mut().expect("fold chunk slot filled above");
+                run_chunk(job);
+            });
         }
 
         // Serial copy-back in fold order: after this, the cache holds
-        // for every device exactly what the serial pass would have
+        // for every device exactly what a live cached fold would have
         // stored while stepping it.
         for (pos, &idx) in fold_order.iter().enumerate() {
             let i = idx as usize;
@@ -773,12 +748,7 @@ impl Datacenter {
         let mut phase_secs = [0.0f64; 7];
 
         // 1. Workloads and server physics.
-        if self.effective_threads > 1 {
-            self.fleet
-                .step_parallel(now, self.tick, self.effective_threads);
-        } else {
-            self.fleet.step(now, self.tick);
-        }
+        self.fleet.step(now, self.tick);
         // Fused configurations attribute the settle pass to its own
         // phase family so fused and unfused profiles are
         // distinguishable; the `fleet_step` family keeps emitting
@@ -796,13 +766,13 @@ impl Datacenter {
         // through the epoch cache: with active-set physics on, most
         // leaves' power is bit-unchanged most ticks, so most devices
         // serve their cached fold instead of re-summing the subtree.
-        // With workers available, phase A precomputes every draw in
-        // parallel; breakers then step serially against the
-        // precomputed values, falling back to live folds from the
-        // first trip on so later devices observe the blackout exactly
-        // as the serial pass always has (the kill bumps the victims'
-        // leaf epochs, so a stale precomputed draw is never served).
-        let mut live_draws = !self.precompute_draws_parallel();
+        // Phase A precomputes every draw across the pool lanes;
+        // breakers then step in device order against the precomputed
+        // values, falling back to live folds from the first trip on so
+        // later devices observe the blackout (the kill bumps the
+        // victims' leaf epochs, so a stale precomputed draw is never
+        // served).
+        let mut live_draws = !self.precompute_draws();
         for i in 0..self.device_ids.len() {
             let id = self.device_ids[i];
             let draw = if live_draws {
@@ -1284,11 +1254,7 @@ mod tests {
         }
         assert_cache_exact(&mut dc);
 
-        let spans: Vec<Range<usize>> = dc
-            .system
-            .leaf_spans()
-            .expect("grid topologies register leaf spans")
-            .to_vec();
+        let spans: Vec<Range<usize>> = dc.system.leaf_spans().to_vec();
         let lag = spans[0].start as u32;
         let lead = spans[1].start as u32;
 
@@ -1349,7 +1315,7 @@ mod tests {
         // at zero and could climb back into coincidence with a stale
         // watermark. The generation mismatch must bypass the cache so
         // every draw is a direct fold.
-        let spans: Vec<Range<usize>> = dc.system.leaf_spans().unwrap().to_vec();
+        let spans: Vec<Range<usize>> = dc.system.leaf_spans().to_vec();
         dc.fleet.set_leaf_spans(&spans);
         for _ in 0..10 {
             dc.fleet.set_server_alive(0, false);

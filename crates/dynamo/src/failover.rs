@@ -76,16 +76,16 @@ impl FailoverState {
         }
     }
 
-    /// The leaf pending-failure flags, for the parallel leaf path:
-    /// workers clear their own flags and the merge records each
-    /// takeover afterwards via [`FailoverState::record_leaf`], because
-    /// workers cannot touch the shared counters.
+    /// The leaf pending-failure flags, for the leaf dispatch: lanes
+    /// clear their own flags and the merge records each takeover
+    /// afterwards via [`FailoverState::record_leaf`], because lanes
+    /// cannot touch the shared counters.
     pub(crate) fn leaf_flags_mut(&mut self) -> &mut [bool] {
         &mut self.leaf_failed
     }
 
     /// Records a leaf takeover observed outside [`FailoverState::take_leaf`]
-    /// (the parallel merge consumes flags in the workers).
+    /// (the dispatch consumes flags in its lanes).
     pub(crate) fn record_leaf(&mut self, i: usize) {
         self.leaf_skipped[i] += 1;
         self.count += 1;

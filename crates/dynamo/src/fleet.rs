@@ -75,7 +75,7 @@ pub struct FleetStats {
 /// the hot loop must move through DRAM when every leaf redraws, every
 /// controller cycles, and the tick samples telemetry, assuming the
 /// caches hold nothing across passes (every fleet-wide pass re-streams
-/// its arrays) but everything within one [`FUSE_TILE`] (a tile touched
+/// its arrays) but everything within one `FUSE_TILE` (a tile touched
 /// by consecutive fused stages stays resident).
 ///
 /// Computed from the live allocation sizes, not constants, so a layout
@@ -97,8 +97,8 @@ pub struct TickTraffic {
     pub unfused: u64,
 }
 
-/// Precomputed per-worker partitions for [`Fleet::step_parallel`],
-/// cached so the hot path never re-carves chunk boundaries.
+/// Precomputed per-lane partitions for [`Fleet::step`], cached so the
+/// hot path never recomputes chunk boundaries.
 ///
 /// When the control plane's leaf spans are known, partitions are
 /// leaf-aligned and built by the same chunking rule the leaf dispatch
@@ -109,11 +109,11 @@ pub struct TickTraffic {
 /// worker scatter drawn power into its own disjoint id-order slice.
 #[derive(Debug, Default)]
 struct Partition {
-    /// Requested thread count this partition was computed for.
+    /// Pool width this partition was computed for.
     threads: usize,
-    /// Per-worker agent index ranges (ascending, tiling `0..n`).
+    /// Per-lane agent index ranges (ascending, tiling `0..n`).
     agents: Vec<Range<usize>>,
-    /// Per-worker leaf index ranges (empty ranges when the fleet has no
+    /// Per-lane leaf index ranges (empty ranges when the fleet has no
     /// leaf spans).
     leaves: Vec<Range<usize>>,
 }
@@ -192,8 +192,8 @@ pub struct Fleet {
     /// position)` of leaf `l`'s mask words (one region covering
     /// everything when spans are unknown), with a final sentinel of
     /// `(total words, server count)`. Every region starts on a fresh
-    /// word, so a worker owning whole leaves owns whole words — the
-    /// parallel-carving invariant the packed masks rest on.
+    /// word, so a lane owning whole leaves owns whole words — the
+    /// splitting invariant the packed masks rest on.
     mask_base: Vec<(usize, usize)>,
     /// Post-clamp demand utilization at the last step, position order.
     util: Vec<f64>,
@@ -223,10 +223,9 @@ pub struct Fleet {
     leaf_power_w: Vec<f64>,
     /// Cached per-worker partition for the last-used thread count.
     partition: Partition,
-    /// Persistent worker pool shared with the leaf control plane.
-    /// Without one, [`Fleet::step_parallel`] falls back to per-call
-    /// scoped threads (the legacy dispatch, kept for comparison).
-    pool: Option<Arc<WorkerPool>>,
+    /// Worker pool the step dispatches onto, shared with the leaf
+    /// control plane. Width 1 (no threads) until one is attached.
+    pool: Arc<WorkerPool>,
     /// Physics ticks completed so far; drives the leaf-phased demand
     /// redraw schedule. Incremented exactly once per step.
     tick_index: u64,
@@ -244,8 +243,7 @@ pub struct Fleet {
     /// redraw steps the leaf regardless.
     settled_bits: Vec<u64>,
     /// Unpacked mirror of [`Fleet::settled_bits`], one `bool` per leaf.
-    /// The step paths need per-worker `&mut` carving at leaf
-    /// granularity, which packed words cannot give without `unsafe`;
+    /// The step needs per-lane `&mut` splits at leaf granularity, which packed words cannot give without `unsafe`;
     /// the bits are unpacked into this persistent scratch before a step
     /// and repacked after. Authoritative only inside a step.
     settled_scratch: Vec<bool>,
@@ -291,7 +289,7 @@ pub struct Fleet {
     /// Memoized flat fold over `power_w` (the [`Fleet::stats`] total)
     /// as `f64` bits, valid while the generation/epoch-sum marks below
     /// match the live watermark. Interior-mutable (relaxed atomics, not
-    /// `Cell`, so `Fleet` stays `Sync` for the scoped fan-outs) because
+    /// `Cell`, so `Fleet` stays `Sync` for the pooled fan-outs) because
     /// `stats` is a `&self` query; only the simulation thread writes.
     total_power_bits: AtomicU64,
     /// `span_generation` the cached total was folded at.
@@ -369,7 +367,7 @@ impl Fleet {
             span_generation: 0,
             leaf_power_w: Vec::new(),
             partition: Partition::default(),
-            pool: None,
+            pool: Arc::new(WorkerPool::new(1)),
             tick_index: 0,
             demand_hold: 1,
             settled_bits: Vec::new(),
@@ -432,17 +430,12 @@ impl Fleet {
         self.crash_rate_per_hour = per_hour;
     }
 
-    /// Attaches a persistent worker pool for [`Fleet::step_parallel`].
-    /// The datacenter shares one pool between fleet physics and leaf
-    /// control cycles so both fan-outs reuse the same parked workers.
+    /// Attaches the worker pool [`Fleet::step`] dispatches onto; its
+    /// width is the step's lane count. The datacenter shares one pool
+    /// between fleet physics and leaf control cycles so both fan-outs
+    /// reuse the same parked workers.
     pub fn attach_pool(&mut self, pool: Arc<WorkerPool>) {
-        self.pool = Some(pool);
-    }
-
-    /// Detaches the worker pool; parallel stepping falls back to
-    /// per-call scoped threads.
-    pub fn detach_pool(&mut self) {
-        self.pool = None;
+        self.pool = pool;
     }
 
     /// Registers the control plane's per-leaf server spans so the step
@@ -507,7 +500,10 @@ impl Fleet {
     /// Number of leaves currently settled (their next physics pass
     /// would be the exact identity). Zero when leaf spans are unknown.
     pub fn settled_leaf_count(&self) -> usize {
-        self.settled_bits.iter().map(|w| w.count_ones() as usize).sum()
+        self.settled_bits
+            .iter()
+            .map(|w| w.count_ones() as usize)
+            .sum()
     }
 
     /// Enables or disables hot-loop fusion: tile-at-a-time stepping and
@@ -541,7 +537,7 @@ impl Fleet {
     }
 
     /// Unpacks the settled bits into the per-leaf `bool` scratch the
-    /// step paths carve per worker. Zero-alloc: the scratch is sized at
+    /// step splits per lane. Zero-alloc: the scratch is sized at
     /// span registration.
     fn unpack_settled(&mut self) {
         for (l, s) in self.settled_scratch.iter_mut().enumerate() {
@@ -758,7 +754,7 @@ impl Fleet {
     /// the current leaf spans: one region per leaf (one covering region
     /// when spans are unknown), each starting on a fresh word, plus a
     /// `(total words, server count)` sentinel. Word alignment per leaf
-    /// is what lets leaf-aligned worker partitions carve the packed
+    /// is what lets leaf-aligned lane partitions split the packed
     /// words with safe `split_at_mut`.
     fn rebuild_mask_layout(&mut self) {
         let n = self.agents.len();
@@ -832,17 +828,6 @@ impl Fleet {
             self.power_dirty = true;
         }
         &mut self.agents[sid as usize]
-    }
-
-    /// Mutable access to the whole agent array, indexed by server id.
-    /// The parallel control plane partitions this into disjoint
-    /// per-leaf spans with `split_at_mut`. Does not mark the power
-    /// cache dirty: the controller RPC path only programs RAPL limits,
-    /// which change drawn power at the next physics step, never
-    /// immediately. (The control plane brackets its cycles with
-    /// [`Fleet::sync_servers_for_control`] / [`Fleet::absorb_caps`].)
-    pub(crate) fn agents_mut(&mut self) -> &mut [Agent] {
-        &mut self.agents
     }
 
     /// Pushes the batch-owned physics state of the due leaves' servers
@@ -937,7 +922,7 @@ impl Fleet {
     /// sync → cycle → absorb dispatch instead of the three
     /// phase-at-a-time passes ([`Fleet::sync_servers_for_control`],
     /// the RPC cycles, [`Fleet::absorb_caps`]): fusion is on, leaf
-    /// spans are known (the per-leaf flush and the limit carving need
+    /// spans are known (the per-leaf flush and the limit split need
     /// them), and the power cache is clean (while dirty, sync and
     /// absorb are deliberate no-ops the fused path does not replicate,
     /// so the caller must fall back to the unfused passes).
@@ -945,13 +930,19 @@ impl Fleet {
         self.fuse && !self.power_dirty && !self.leaf_spans.is_empty()
     }
 
-    /// Splits the fleet into the parts a fused control dispatch needs:
-    /// the agent array and the RAPL limit array as carvable `&mut`
-    /// slices (the parallel paths partition both at the same leaf-span
-    /// boundaries — leaf-aligned spans make position ranges equal id
-    /// ranges), plus a read-only [`FuseShared`] view of everything
-    /// [`fuse_sync_leaf`] and [`fuse_absorb_leaf`] read. All distinct
-    /// fields, so the three borrows coexist.
+    /// Splits the fleet into the parts the leaf dispatch needs: the
+    /// agent array (indexed by server id) and the RAPL limit array as
+    /// splittable `&mut` slices (the dispatch partitions both at the same
+    /// leaf-span boundaries — leaf-aligned spans make position ranges
+    /// equal id ranges), plus a read-only [`FuseShared`] view of
+    /// everything [`fuse_sync_leaf`] and [`fuse_absorb_leaf`] read. All
+    /// distinct fields, so the three borrows coexist.
+    ///
+    /// Does not mark the power cache dirty: the controller RPC path
+    /// only programs RAPL limits, which change drawn power at the next
+    /// physics step, never immediately. (The control plane brackets its
+    /// cycles with [`Fleet::sync_servers_for_control`] /
+    /// [`Fleet::absorb_caps`], or their fused per-leaf forms.)
     pub(crate) fn fused_control_parts(&mut self) -> (&mut [Agent], &mut [f64], FuseShared<'_>) {
         (
             &mut self.agents,
@@ -1169,10 +1160,21 @@ impl Fleet {
     /// from each workload process, applies static clamps, steps server
     /// physics in one batched kernel pass, and processes agent
     /// crash/restart events.
+    ///
+    /// The physics runs as one job per lane of the attached pool
+    /// ([`Fleet::attach_pool`]; width 1 until one is attached) over
+    /// cached leaf-aligned partitions — at width 1 that is a single job
+    /// on the calling thread. Per-server workload processes own
+    /// independent RNG streams and every fold is ascending, so the
+    /// result is bit-identical at any width; this mirrors the
+    /// production deployment where one consolidated binary runs ~100
+    /// controller/agent threads (§IV). Allocation-free once the
+    /// partition is cached.
     pub fn step(&mut self, now: SimTime, dt: SimDuration) {
         if self.power_dirty {
             self.resync_from_servers();
         }
+        self.ensure_partition(self.pool.workers());
         self.unpack_settled();
         // Built inline (not via a &self helper) so `ctx` holds
         // field-precise borrows of `runs`/`perm`, disjoint from the
@@ -1190,117 +1192,24 @@ impl Fleet {
             hold: self.demand_hold as u64,
             tile: if self.fuse { FUSE_TILE } else { usize::MAX },
         };
-        if self.leaf_spans.is_empty() {
-            step_range(
-                &ctx,
-                0,
-                &mut self.generators,
-                &mut self.util,
-                &mut self.demand_w,
-                &self.limit_w,
-                &self.alive_bits,
-                &mut self.not_init_bits,
-                &mut self.out_w,
-                &mut self.power_w,
-            );
-        } else {
-            step_leaves(
-                &ctx,
-                0,
-                0,
-                &self.leaf_spans,
-                &mut self.generators,
-                &mut self.util,
-                &mut self.demand_w,
-                &self.limit_w,
-                &self.alive_bits,
-                &mut self.not_init_bits,
-                &self.mask_base,
-                &mut self.out_w,
-                &mut self.power_w,
-                &mut self.leaf_power_w,
-                &mut self.settled_scratch,
-                &mut self.last_draw_tick,
-                &mut self.leaf_epoch,
-            );
-        }
-        self.pack_settled();
-        self.power_dirty = false;
-        self.tick_index += 1;
-        self.process_failures(now, dt);
-    }
 
-    /// Like [`Fleet::step`] but advances servers on `threads` workers.
-    /// Per-server workload processes own independent RNG streams, so
-    /// the result is bit-identical to the serial path — this mirrors
-    /// the production deployment where one consolidated binary runs
-    /// ~100 controller/agent threads (§IV).
-    ///
-    /// With a pool attached ([`Fleet::attach_pool`]) the dispatch wakes
-    /// the persistent parked workers over precomputed leaf-aligned
-    /// partitions and allocates nothing once warm; without one it falls
-    /// back to per-call scoped threads over the same partitions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is zero or a worker thread panics.
-    pub fn step_parallel(&mut self, now: SimTime, dt: SimDuration, threads: usize) {
-        assert!(threads >= 1, "need at least one worker thread");
-        if threads == 1 || self.agents.len() < 64 {
-            return self.step(now, dt);
-        }
-        if self.power_dirty {
-            self.resync_from_servers();
-        }
-        match &self.pool {
-            Some(pool) => {
-                let pool = Arc::clone(pool);
-                self.step_pooled(now, dt, threads, &pool);
-            }
-            None => self.step_scoped(now, dt, threads),
-        }
-        self.power_dirty = false;
-        self.tick_index += 1;
-        self.process_failures(now, dt);
-    }
-
-    /// Pooled parallel step: per-worker jobs over the precomputed
-    /// partition, zero-alloc once the partition is cached.
-    fn step_pooled(&mut self, now: SimTime, dt: SimDuration, threads: usize, pool: &WorkerPool) {
-        let workers = threads.min(pool.workers());
-        self.ensure_partition(workers);
-        self.unpack_settled();
-        let ctx = StepCtx {
-            runs: &self.runs,
-            perm: &self.perm,
-            mults: self.traffic_multipliers(now),
-            caps: self.static_util_caps,
-            ou: ou_coefficients(dt),
-            alpha: kernel::settle_alpha(dt.as_secs_f64(), self.tau_secs),
-            now,
-            dt,
-            tick: self.tick_index,
-            hold: self.demand_hold as u64,
-            tile: if self.fuse { FUSE_TILE } else { usize::MAX },
-        };
-
-        /// One worker's disjoint view of the fleet arrays.
+        /// One lane's disjoint view of the fleet arrays.
         struct StepJob<'a> {
             generators: &'a mut [ServiceWorkload],
             util: &'a mut [f64],
             demand_w: &'a mut [f64],
-            /// This worker's packed mask words. Leaf-aligned partitions
+            /// This lane's packed mask words. Leaf-aligned partitions
             /// own whole words (every leaf's region starts on a fresh
             /// word; spanless chunks are rounded to word multiples).
             not_init_bits: &'a mut [u64],
             alive_bits: &'a [u64],
-            /// Global mask directory entries for this worker's leaves
-            /// (`lrange.len() + 1` entries, the last the next worker's
+            /// Global mask directory entries for this lane's leaves
+            /// (`lrange.len() + 1` entries, the last the next lane's
             /// first region / the sentinel).
             word_base: &'a [(usize, usize)],
             out_w: &'a mut [f64],
             power_w: &'a mut [f64],
-            /// This worker's leaves: partial-sum outputs, active-set
+            /// This lane's leaves: partial-sum outputs, active-set
             /// state, and the matching global spans.
             leaf_power_w: &'a mut [f64],
             settled: &'a mut [bool],
@@ -1349,9 +1258,9 @@ impl Fleet {
                 out_w = rest;
                 let (p, rest) = power_w.split_at_mut(take);
                 power_w = rest;
-                // This worker's mask word range: leaf regions when
-                // spans are known, position/64 otherwise (chunk starts
-                // are 64-multiples by construction).
+                // This lane's mask word range: leaf regions when spans
+                // are known, position/64 otherwise (chunk starts are
+                // 64-multiples by construction).
                 let (wlo, whi) = if self.leaf_spans.is_empty() {
                     (arange.start / 64, arange.end.div_ceil(64))
                 } else {
@@ -1393,7 +1302,7 @@ impl Fleet {
             }
         }
         let ctx = &ctx;
-        pool.run_on(&mut jobs[..njobs], |_w, slot| {
+        self.pool.run_on(&mut jobs[..njobs], |_w, slot| {
             let job = slot.as_mut().expect("partition slot filled above");
             let lo = job.base;
             let n = job.generators.len();
@@ -1433,129 +1342,12 @@ impl Fleet {
             }
         });
         self.pack_settled();
+        self.power_dirty = false;
+        self.tick_index += 1;
+        self.process_failures(now, dt);
     }
 
-    /// No-pool parallel step: per-call scoped threads over the same
-    /// leaf-aligned partitions the pooled path uses. Kept as the
-    /// fallback and the baseline the pool is benchmarked against.
-    fn step_scoped(&mut self, now: SimTime, dt: SimDuration, threads: usize) {
-        self.ensure_partition(threads);
-        self.unpack_settled();
-        let ctx = StepCtx {
-            runs: &self.runs,
-            perm: &self.perm,
-            mults: self.traffic_multipliers(now),
-            caps: self.static_util_caps,
-            ou: ou_coefficients(dt),
-            alpha: kernel::settle_alpha(dt.as_secs_f64(), self.tau_secs),
-            now,
-            dt,
-            tick: self.tick_index,
-            hold: self.demand_hold as u64,
-            tile: if self.fuse { FUSE_TILE } else { usize::MAX },
-        };
-        let parts: Vec<(Range<usize>, Range<usize>)> = self
-            .partition
-            .agents
-            .iter()
-            .cloned()
-            .zip(self.partition.leaves.iter().cloned())
-            .collect();
-        let limit_w = &self.limit_w;
-        let alive_bits_all = &self.alive_bits;
-        let mask_base = &self.mask_base;
-        let leaf_spans = &self.leaf_spans;
-        let mut generators = &mut self.generators[..];
-        let mut util = &mut self.util[..];
-        let mut demand_w = &mut self.demand_w[..];
-        let mut not_init_bits = &mut self.not_init_bits[..];
-        let mut out_w = &mut self.out_w[..];
-        let mut power_w = &mut self.power_w[..];
-        let mut leaf_power_w = &mut self.leaf_power_w[..];
-        let mut settled = &mut self.settled_scratch[..];
-        let mut last_draw = &mut self.last_draw_tick[..];
-        let mut leaf_epoch = &mut self.leaf_epoch[..];
-        let mut words_consumed = 0usize;
-        let ctx = &ctx;
-        std::thread::scope(|scope| {
-            for (arange, lrange) in parts {
-                let take = arange.end - arange.start;
-                let (g, rest) = generators.split_at_mut(take);
-                generators = rest;
-                let (u, rest) = util.split_at_mut(take);
-                util = rest;
-                let (d, rest) = demand_w.split_at_mut(take);
-                demand_w = rest;
-                let (o, rest) = out_w.split_at_mut(take);
-                out_w = rest;
-                let (p, rest) = power_w.split_at_mut(take);
-                power_w = rest;
-                let (wlo, whi) = if leaf_spans.is_empty() {
-                    (arange.start / 64, arange.end.div_ceil(64))
-                } else {
-                    (mask_base[lrange.start].0, mask_base[lrange.end].0)
-                };
-                debug_assert_eq!(wlo, words_consumed, "mask words must tile the fleet");
-                let (nib, rest) = not_init_bits.split_at_mut(whi - wlo);
-                not_init_bits = rest;
-                words_consumed = whi;
-                let ab = &alive_bits_all[wlo..whi];
-                let wb = &mask_base[lrange.start..lrange.end + 1];
-                let ltake = lrange.end - lrange.start;
-                let (lp, rest) = leaf_power_w.split_at_mut(ltake);
-                leaf_power_w = rest;
-                let (st, rest) = settled.split_at_mut(ltake);
-                settled = rest;
-                let (ld, rest) = last_draw.split_at_mut(ltake);
-                last_draw = rest;
-                let (le, rest) = leaf_epoch.split_at_mut(ltake);
-                leaf_epoch = rest;
-                let leaf_base = lrange.start;
-                let spans = &leaf_spans[lrange];
-                let lo = arange.start;
-                scope.spawn(move || {
-                    let n = g.len();
-                    if spans.is_empty() {
-                        step_range(
-                            ctx,
-                            lo,
-                            g,
-                            u,
-                            d,
-                            &limit_w[lo..lo + n],
-                            ab,
-                            nib,
-                            o,
-                            p,
-                        );
-                    } else {
-                        step_leaves(
-                            ctx,
-                            lo,
-                            leaf_base,
-                            spans,
-                            g,
-                            u,
-                            d,
-                            &limit_w[lo..lo + n],
-                            ab,
-                            nib,
-                            wb,
-                            o,
-                            p,
-                            lp,
-                            st,
-                            ld,
-                            le,
-                        );
-                    }
-                });
-            }
-        });
-        self.pack_settled();
-    }
-
-    /// Rebuilds the cached per-worker partition if the thread count
+    /// Rebuilds the cached per-lane partition if the pool width
     /// changed. Leaf-aligned when spans are known — the same
     /// whole-leaf `div_ceil` chunking the leaf dispatch uses, so a
     /// server's worker assignment is stable across both fan-outs.
@@ -1724,8 +1516,10 @@ impl Fleet {
         }
         let sum: f64 = self.power_w.iter().sum();
         self.total_power_valid.store(false, Ordering::Relaxed);
-        self.total_power_bits.store(sum.to_bits(), Ordering::Relaxed);
-        self.total_power_gen.store(self.span_generation, Ordering::Relaxed);
+        self.total_power_bits
+            .store(sum.to_bits(), Ordering::Relaxed);
+        self.total_power_gen
+            .store(self.span_generation, Ordering::Relaxed);
         self.total_power_esum.store(esum, Ordering::Relaxed);
         self.total_power_valid.store(true, Ordering::Release);
         sum
@@ -1930,9 +1724,8 @@ impl Fleet {
         self.down_count = state.down_count as usize;
         self.power_dirty = false;
         self.total_power_valid.store(false, Ordering::Relaxed);
-        // The cached worker partition is layout-derived and left as is;
-        // the next parallel step revalidates it against the thread
-        // count.
+        // The cached lane partition is layout-derived and left as is;
+        // the next step revalidates it against the pool width.
         Ok(())
     }
 }
@@ -2118,20 +1911,9 @@ fn run_key(server: &Server, service: ServiceKind) -> (u8, u8, u8, u64, u64) {
     )
 }
 
-/// Splits the fleet's agent array into disjoint `&mut` slices, one per
-/// span, for the parallel control plane. Spans must be ascending and
-/// non-overlapping (agents between spans are skipped); each returned
-/// slice starts at its span's `start` server id.
-pub(crate) fn split_agent_spans(
-    agents: &mut [Agent],
-    spans: impl Iterator<Item = std::ops::Range<usize>>,
-) -> Vec<&mut [Agent]> {
-    dynpool::split_spans(agents, spans)
-}
-
 /// Read-only view of the fleet state the fused control dispatch needs,
 /// shareable across workers (`Copy`, all shared borrows). Handed out by
-/// [`Fleet::fused_control_parts`] alongside the carvable agent and
+/// [`Fleet::fused_control_parts`] alongside the splittable agent and
 /// limit arrays.
 #[derive(Clone, Copy)]
 pub(crate) struct FuseShared<'a> {
@@ -2156,7 +1938,12 @@ pub(crate) struct FuseShared<'a> {
 /// would; the markers themselves are updated after the join by
 /// [`Fleet::finish_fused_control`], which is equivalent because each
 /// due leaf is flushed at most once per control tick.
-pub(crate) fn fuse_sync_leaf(sh: &FuseShared<'_>, leaf: usize, agents: &mut [Agent], agents_base: usize) {
+pub(crate) fn fuse_sync_leaf(
+    sh: &FuseShared<'_>,
+    leaf: usize,
+    agents: &mut [Agent],
+    agents_base: usize,
+) {
     if sh.flushed_epoch[leaf] == sh.leaf_epoch[leaf] && sh.flushed_draw[leaf] == sh.last_draw[leaf]
     {
         return;
@@ -2164,15 +1951,17 @@ pub(crate) fn fuse_sync_leaf(sh: &FuseShared<'_>, leaf: usize, agents: &mut [Age
     for pos in sh.leaf_spans[leaf].clone() {
         let id = sh.perm[pos] as usize;
         let initialized = !bit_at(sh.mask_base, sh.not_init_bits, pos);
-        agents[id - agents_base]
-            .server_mut()
-            .sync_physics(sh.util[pos], sh.out_w[pos], initialized);
+        agents[id - agents_base].server_mut().sync_physics(
+            sh.util[pos],
+            sh.out_w[pos],
+            initialized,
+        );
     }
 }
 
 /// Fused per-leaf cap absorb: [`Fleet::absorb_caps`]'s body for one
 /// leaf, run right after the leaf's RPC cycle against the worker's
-/// private `limit_w` slice (carved at the same span boundaries as the
+/// private `limit_w` slice (split at the same span boundaries as the
 /// agents, so `limit_base == agents_base`). Returns whether any limit
 /// bit changed (→ the leaf unsettles) and the signed capped-server
 /// delta; both are recorded per leaf and applied serially after the
@@ -2218,8 +2007,8 @@ fn ou_coefficients(dt: SimDuration) -> [OuCoeffs; ServiceKind::COUNT] {
     out
 }
 
-/// Per-tick constants of the physics step, shared by the serial, scoped
-/// and pooled paths so their arithmetic cannot drift apart.
+/// Per-tick constants of the physics step, shared read-only by every
+/// lane's job.
 struct StepCtx<'a> {
     /// Maximal equal-key position ranges with hoisted loop constants.
     runs: &'a [Run],
@@ -2598,41 +2387,22 @@ mod tests {
     }
 
     #[test]
-    fn parallel_step_matches_serial() {
-        let mut serial = mixed_fleet(77);
-        let mut parallel = mixed_fleet(77);
-        let mut t = SimTime::ZERO;
-        for _ in 0..30 {
-            serial.step(t, SimDuration::from_secs(1));
-            parallel.step_parallel(t, SimDuration::from_secs(1), 4);
-            t += SimDuration::from_secs(1);
-        }
-        for i in 0..200 {
-            assert_eq!(
-                serial.power_of(i).as_watts(),
-                parallel.power_of(i).as_watts(),
-                "server {i} diverged between serial and parallel stepping"
-            );
-        }
-    }
-
-    #[test]
-    fn pooled_step_matches_serial_and_scoped() {
+    fn pooled_step_matches_width_one() {
         let mut serial = mixed_fleet(78);
-        let mut scoped = mixed_fleet(78);
         let mut pooled = mixed_fleet(78);
         pooled.attach_pool(Arc::new(WorkerPool::new(4)));
         let mut t = SimTime::ZERO;
         for _ in 0..30 {
             serial.step(t, SimDuration::from_secs(1));
-            scoped.step_parallel(t, SimDuration::from_secs(1), 4);
-            pooled.step_parallel(t, SimDuration::from_secs(1), 4);
+            pooled.step(t, SimDuration::from_secs(1));
             t += SimDuration::from_secs(1);
         }
         for i in 0..200 {
-            let s = serial.power_of(i).as_watts();
-            assert_eq!(s, scoped.power_of(i).as_watts(), "server {i} scoped drift");
-            assert_eq!(s, pooled.power_of(i).as_watts(), "server {i} pooled drift");
+            assert_eq!(
+                serial.power_of(i).as_watts(),
+                pooled.power_of(i).as_watts(),
+                "server {i} diverged between width 1 and width 4"
+            );
         }
     }
 
@@ -2644,7 +2414,7 @@ mod tests {
         fleet.attach_pool(Arc::new(WorkerPool::new(3)));
         let mut t = SimTime::ZERO;
         for _ in 0..10 {
-            fleet.step_parallel(t, SimDuration::from_secs(1), 3);
+            fleet.step(t, SimDuration::from_secs(1));
             t += SimDuration::from_secs(1);
         }
         for (l, span) in spans.iter().enumerate() {
@@ -2797,7 +2567,7 @@ mod tests {
             }
             if step == 300 {
                 for f in [&mut skipping, &mut full] {
-                    f.agents_mut()[60]
+                    f.fused_control_parts().0[60]
                         .server_mut()
                         .rapl_mut()
                         .set_limit(Power::from_watts(140.0));
@@ -2829,25 +2599,22 @@ mod tests {
     #[test]
     fn demand_hold_is_bit_identical_across_thread_counts() {
         let mut serial = spanned_fleet(91, 30);
-        let mut scoped2 = spanned_fleet(91, 30);
+        let mut pooled2 = spanned_fleet(91, 30);
         let mut pooled8 = spanned_fleet(91, 30);
         let mut pooled64 = spanned_fleet(91, 30);
+        pooled2.attach_pool(Arc::new(WorkerPool::new(2)));
         pooled8.attach_pool(Arc::new(WorkerPool::new(8)));
-        // A full-width pool: step_parallel clamps the dispatch to
-        // min(threads, pool.workers()), so anything smaller would make
-        // the @64 case repeat the @8 partition.
         pooled64.attach_pool(Arc::new(WorkerPool::new(64)));
         let mut t = SimTime::ZERO;
         for _ in 0..150 {
-            serial.step(t, SimDuration::from_secs(1));
-            scoped2.step_parallel(t, SimDuration::from_secs(1), 2);
-            pooled8.step_parallel(t, SimDuration::from_secs(1), 8);
-            pooled64.step_parallel(t, SimDuration::from_secs(1), 64);
+            for fleet in [&mut serial, &mut pooled2, &mut pooled8, &mut pooled64] {
+                fleet.step(t, SimDuration::from_secs(1));
+            }
             t += SimDuration::from_secs(1);
         }
         for i in 0..200 {
             let s = serial.power_of(i).as_watts().to_bits();
-            assert_eq!(s, scoped2.power_of(i).as_watts().to_bits(), "server {i} @2");
+            assert_eq!(s, pooled2.power_of(i).as_watts().to_bits(), "server {i} @2");
             assert_eq!(s, pooled8.power_of(i).as_watts().to_bits(), "server {i} @8");
             assert_eq!(
                 s,
@@ -2892,7 +2659,7 @@ mod tests {
         }
         let before_cap = fleet.leaf_power(1).unwrap();
         for id in 50..100 {
-            fleet.agents_mut()[id]
+            fleet.fused_control_parts().0[id]
                 .server_mut()
                 .rapl_mut()
                 .set_limit(Power::from_watts(130.0));
@@ -2978,16 +2745,6 @@ mod tests {
     #[should_panic(expected = "demand hold")]
     fn zero_demand_hold_panics() {
         small_fleet(1, ServiceKind::Web).set_demand_hold(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one worker")]
-    fn zero_threads_panics() {
-        small_fleet(100, ServiceKind::Web).step_parallel(
-            SimTime::ZERO,
-            SimDuration::from_secs(1),
-            0,
-        );
     }
 
     #[test]

@@ -1,20 +1,16 @@
-//! The leaf controller tier: one [`LeafController`] per RPP, with
-//! serial, pooled-parallel and scoped-parallel execution paths.
+//! The leaf controller tier: one [`LeafController`] per RPP, and the
+//! one dispatch path that runs its due cycles.
 //!
-//! All paths run only the leaves the [`crate::events::CycleDispatcher`]
-//! marked due this tick. The parallel paths mirror the paper's
-//! consolidated binary running ~100 controller threads (§IV): each
-//! worker owns a private disjoint `&mut [Agent]` slice of the fleet and
-//! every leaf's RPC RNG stream is its own, so each cycle computes
-//! exactly what the serial path would; the post-join merge restores
-//! leaf-index order, making the whole run bit-identical.
-//!
-//! The pooled path ([`LeafTier::run_due_pooled`]) dispatches onto the
-//! datacenter's persistent [`WorkerPool`]: per-worker jobs are stack
-//! slots holding disjoint slices of the tier's parallel arrays, so a
-//! warm steady-state dispatch allocates nothing. The scoped path
-//! ([`LeafTier::run_due_scoped`]) spawns threads per call and is kept
-//! as the no-pool fallback and the benchmark baseline.
+//! Only the leaves the [`crate::events::CycleDispatcher`] marked due
+//! this tick run. The dispatch mirrors the paper's consolidated binary
+//! running ~100 controller threads (§IV): each pool lane owns a private
+//! disjoint `&mut [Agent]` slice of the fleet and every leaf's RPC RNG
+//! stream is its own, so each cycle computes the same thing at any
+//! width; the post-join merge restores leaf-index order, making the
+//! whole run bit-identical. Per-lane jobs are stack slots holding
+//! disjoint slices of the tier's parallel arrays, so a warm dispatch
+//! allocates nothing. Width 1 is the same body as a single job on the
+//! calling thread.
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -38,7 +34,7 @@ use powerinfra::{DeviceId, DeviceLevel, Power, Topology};
 use crate::control_plane::SystemConfig;
 use crate::events::{ControllerEvent, ControllerEventKind};
 use crate::failover::FailoverState;
-use crate::fleet::{fuse_absorb_leaf, fuse_sync_leaf, split_agent_spans, Fleet};
+use crate::fleet::{fuse_absorb_leaf, fuse_sync_leaf, Fleet};
 use crate::obs::{band_of, record_leaf_cycle, record_leaf_failover, ObsIds, Observability};
 
 /// The leaf tier as parallel arrays, so cycles can split borrows.
@@ -47,18 +43,15 @@ pub(crate) struct LeafTier {
     pub(crate) controllers: Vec<LeafController>,
     networks: Vec<Network>,
     pub(crate) last_aggregate: Vec<Power>,
-    /// Server ids under each leaf, prebuilt at construction so the
-    /// monitoring-only path never rebuilds them per cycle.
-    pub(crate) server_ids: Vec<Vec<u32>>,
-    /// When every leaf owns a contiguous ascending server-id range and
-    /// the ranges tile `0..server_count` in leaf order, the ranges —
-    /// the parallel control plane hands each leaf a private disjoint
-    /// `&mut [Agent]` slice. `None` forces the serial path.
-    pub(crate) spans: Option<Vec<Range<usize>>>,
-    /// Per-leaf event buffers, reused across parallel cycles (cleared,
+    /// Each leaf's contiguous server-id range. The ranges ascend and
+    /// tile `0..server_count` in leaf order ([`powerinfra::TopologyBuilder`]
+    /// numbers servers that way; [`LeafTier::build`] asserts it), so the
+    /// dispatch hands each leaf a private disjoint `&mut [Agent]` slice.
+    pub(crate) spans: Vec<Range<usize>>,
+    /// Per-leaf event buffers, reused across dispatches (cleared,
     /// capacity kept) and merged in leaf index order after the join.
     event_bufs: Vec<Vec<ControllerEvent>>,
-    /// Per-leaf telemetry wire buffers: parallel workers encode their
+    /// Per-leaf telemetry wire buffers: pool lanes encode their
     /// leaf's cycle events as a [`dynrpc::codec`] telemetry batch and
     /// decode them back inside the shard, so the codec work the
     /// deployed system pays to ship telemetry rides the worker threads
@@ -91,29 +84,6 @@ pub(crate) struct LeafTier {
     /// of the last fused dispatch's due set.
     pub(crate) absorb_changed: Vec<bool>,
     pub(crate) absorb_delta: Vec<i64>,
-}
-
-/// Everything one parallel worker needs to run one leaf's cycle.
-struct LeafTask<'a> {
-    device: DeviceId,
-    controller: &'a mut LeafController,
-    network: &'a mut Network,
-    aggregate: &'a mut Power,
-    failed: &'a mut bool,
-    buf: &'a mut Vec<ControllerEvent>,
-    wire: &'a mut Vec<u8>,
-    wire_ev: &'a mut Vec<TelemetryEvent>,
-    quiet: &'a mut bool,
-    agents: &'a mut [Agent],
-    span_start: usize,
-    shard: &'a mut Shard,
-    track: u32,
-    /// RAPL limit slice covering the same span as `agents`, written by
-    /// the fused absorb. Unused when unfused.
-    limit: &'a mut [f64],
-    /// Fused absorb outputs for this leaf.
-    absorb_changed: &'a mut bool,
-    absorb_delta: &'a mut i64,
 }
 
 impl LeafTier {
@@ -166,13 +136,13 @@ impl LeafTier {
             .iter()
             .map(|c| c.servers().iter().map(|h| h.server_id).collect())
             .collect();
-        let spans = compute_leaf_spans(&server_ids, topo.server_count());
+        let spans = compute_leaf_spans(&server_ids, topo.server_count())
+            .expect("leaf server ids must be contiguous ranges tiling the fleet in leaf order");
         LeafTier {
             devices,
             controllers,
             networks,
             last_aggregate: vec![Power::ZERO; n],
-            server_ids,
             spans,
             event_bufs: vec![Vec::new(); n],
             wire_bufs: vec![Vec::new(); n],
@@ -257,122 +227,56 @@ impl LeafTier {
         self.controllers.len()
     }
 
-    /// Runs the due leaves in index order on the calling thread. This is
-    /// the allocation-free steady-state path (`control_threads == 1`).
-    ///
-    /// With `fused` set (capping must be enabled, spans known, cache
-    /// clean — [`Fleet::control_fuse_ready`]) each leaf runs
-    /// sync → cycle → absorb back to back while its agents are hot,
-    /// instead of riding three fleet-wide passes. Legal because a
-    /// leaf's flush reads only fleet arrays no cycle writes, and its
-    /// absorb touches only its own span — so per-leaf interleaving
-    /// computes bit-identical state to the phase-at-a-time order.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn run_due_serial(
+    /// Monitoring-only baseline (capping disabled): no cycle runs. A
+    /// pending failover still hands the leaf to its backup; every other
+    /// due leaf tracks its true aggregate so upper tiers and telemetry
+    /// still see power. The fleet's per-leaf partial (maintained by its
+    /// step as the same ascending fold) makes that a single lookup.
+    pub(crate) fn monitor_due(
         &mut self,
         now: SimTime,
         due: &[usize],
-        capping_enabled: bool,
-        fused: bool,
         failover: &mut FailoverState,
-        fleet: &mut Fleet,
+        fleet: &Fleet,
         events: &mut Vec<ControllerEvent>,
         obs: &mut Observability,
     ) {
         let (shards, ids) = obs.shard_ctx();
-        if fused {
-            debug_assert!(capping_enabled, "fused dispatch implies capping");
-            let (agents, limit_w, sh) = fleet.fused_control_parts();
-            for &i in due {
-                fuse_sync_leaf(&sh, i, agents, 0);
-                if failover.take_leaf(i) {
-                    self.quiet[i] = false;
-                    let name = self.controllers[i].name_shared();
-                    record_leaf_failover(&mut shards[i], ids, now, i as u32, Arc::clone(&name));
-                    events.push(ControllerEvent {
-                        at: now,
-                        device: self.devices[i],
-                        controller: name,
-                        kind: ControllerEventKind::Failover,
-                    });
-                } else {
-                    self.quiet[i] = run_one_leaf_cycle(
-                        now,
-                        self.devices[i],
-                        &mut self.controllers[i],
-                        &mut self.networks[i],
-                        agents,
-                        0,
-                        &mut self.last_aggregate[i],
-                        events,
-                        &mut shards[i],
-                        ids,
-                        i as u32,
-                    );
-                }
-                let (ch, d) = fuse_absorb_leaf(&sh, i, agents, 0, limit_w, 0);
-                self.absorb_changed[i] = ch;
-                self.absorb_delta[i] = d;
-            }
-            return;
-        }
         for &i in due {
             if failover.take_leaf(i) {
-                // Backup takes over: one cycle of downtime, then the
-                // redundant instance (sharing the same decision state
-                // via its own polling) continues.
                 self.quiet[i] = false;
-                let name = self.controllers[i].name_shared();
-                record_leaf_failover(&mut shards[i], ids, now, i as u32, Arc::clone(&name));
-                events.push(ControllerEvent {
-                    at: now,
-                    device: self.devices[i],
-                    controller: name,
-                    kind: ControllerEventKind::Failover,
-                });
+                let controller = &self.controllers[i];
+                let ev = takeover(now, self.devices[i], controller, &mut shards[i], ids, i);
+                events.push(ev);
                 continue;
             }
-            if !capping_enabled {
-                // Monitoring-only baseline: track the true aggregate so
-                // upper tiers and telemetry still see power. The fleet's
-                // per-leaf partial (maintained by its step as the same
-                // ascending fold) makes this a single lookup.
-                self.last_aggregate[i] = fleet
-                    .leaf_power(i)
-                    .unwrap_or_else(|| fleet.power_sum(&self.server_ids[i]));
-                continue;
-            }
-            let quiescent = run_one_leaf_cycle(
-                now,
-                self.devices[i],
-                &mut self.controllers[i],
-                &mut self.networks[i],
-                fleet.agents_mut(),
-                0,
-                &mut self.last_aggregate[i],
-                events,
-                &mut shards[i],
-                ids,
-                i as u32,
-            );
-            self.quiet[i] = quiescent;
+            self.last_aggregate[i] = fleet
+                .leaf_power(i)
+                .unwrap_or_else(|| fleet.power_sum_range(self.spans[i].clone()));
         }
     }
 
-    /// Runs the due leaves on the persistent worker pool. Each worker
-    /// wakes with one stack-slot job holding a contiguous chunk of the
-    /// due set plus disjoint `&mut` slices of the tier's parallel
-    /// arrays (split once at chunk boundaries), so a warm dispatch
-    /// allocates nothing. Workers buffer events per leaf; the merge
-    /// after the barrier restores leaf index order, so the result is
-    /// bit-identical to [`LeafTier::run_due_serial`] at any worker
-    /// count.
+    /// Runs the due leaves' cycles on `pool`. Each lane gets one
+    /// stack-slot job holding a contiguous chunk of the due set plus
+    /// disjoint `&mut` slices of the tier's parallel arrays (split once
+    /// at chunk boundaries), so a warm dispatch allocates nothing.
+    /// Lanes consume pending failover flags and buffer events per leaf,
+    /// round-tripping them through the telemetry wire format; the merge
+    /// after the barrier records failovers and restores leaf index
+    /// order, so the result is bit-identical at any width.
+    ///
+    /// With `fused` set (the fleet is [`Fleet::control_fuse_ready`])
+    /// each leaf runs sync → cycle → absorb back to back while its
+    /// agents are hot, instead of riding three fleet-wide passes. Legal
+    /// because a leaf's flush reads only fleet arrays no cycle writes,
+    /// and its absorb touches only its own span — so per-leaf
+    /// interleaving computes bit-identical state to the phase-at-a-time
+    /// order.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn run_due_pooled(
+    pub(crate) fn run_due(
         &mut self,
         now: SimTime,
         due: &[usize],
-        threads: usize,
         fused: bool,
         pool: &WorkerPool,
         failover: &mut FailoverState,
@@ -380,16 +284,12 @@ impl LeafTier {
         events: &mut Vec<ControllerEvent>,
         obs: &mut Observability,
     ) {
-        let spans = self
-            .spans
-            .as_deref()
-            .expect("parallel path requires leaf spans");
-        let workers = threads.min(pool.workers()).min(due.len()).max(1);
-        let per_chunk = due.len().div_ceil(workers);
+        let spans = &self.spans;
+        let per_chunk = due.len().div_ceil(pool.workers().min(due.len()));
 
-        /// One worker's disjoint view of the leaf tier: the arrays are
+        /// One lane's disjoint view of the leaf tier: the arrays are
         /// split at due-chunk boundaries, so slices may include
-        /// non-due leaves — the worker walks only its `due` sublist,
+        /// non-due leaves — the lane walks only its `due` sublist,
         /// indexing relative to `base`.
         struct LeafJob<'a> {
             due: &'a [usize],
@@ -509,30 +409,15 @@ impl LeafTier {
                         fuse_sync_leaf(&fsh, i, job.agents, job.agents_base);
                     }
                     if job.failed[r] {
+                        // Backup takes over: one cycle of downtime, then
+                        // the redundant instance (sharing the same
+                        // decision state via its own polling) continues.
                         job.failed[r] = false;
                         job.quiet[r] = false;
-                        let name = job.controllers[r].name_shared();
-                        record_leaf_failover(
-                            &mut job.shards[r],
-                            ids,
-                            now,
-                            i as u32,
-                            Arc::clone(&name),
-                        );
-                        job.bufs[r].push(ControllerEvent {
-                            at: now,
-                            device: devices[i],
-                            controller: name,
-                            kind: ControllerEventKind::Failover,
-                        });
-                        wire_roundtrip_events(
-                            &job.controllers[r],
-                            &mut job.bufs[r],
-                            &mut job.wire[r],
-                            &mut job.wire_ev[r],
-                        );
+                        let controller = &job.controllers[r];
+                        let ev = takeover(now, devices[i], controller, &mut job.shards[r], ids, i);
+                        job.bufs[r].push(ev);
                     } else {
-                        let (aggregate, buf) = (&mut job.aggregates[r], &mut job.bufs[r]);
                         job.quiet[r] = run_one_leaf_cycle(
                             now,
                             devices[i],
@@ -540,19 +425,19 @@ impl LeafTier {
                             &mut job.networks[r],
                             job.agents,
                             job.agents_base,
-                            aggregate,
-                            buf,
+                            &mut job.aggregates[r],
+                            &mut job.bufs[r],
                             &mut job.shards[r],
                             ids,
                             i as u32,
                         );
-                        wire_roundtrip_events(
-                            &job.controllers[r],
-                            &mut job.bufs[r],
-                            &mut job.wire[r],
-                            &mut job.wire_ev[r],
-                        );
                     }
+                    wire_roundtrip_events(
+                        &job.controllers[r],
+                        &mut job.bufs[r],
+                        &mut job.wire[r],
+                        &mut job.wire_ev[r],
+                    );
                     if fused {
                         let (ch, d) = fuse_absorb_leaf(
                             &fsh,
@@ -568,178 +453,7 @@ impl LeafTier {
                 }
             });
         }
-        self.merge_parallel_events(due, failover, events);
-    }
-
-    /// Runs the due leaves on `threads` scoped worker threads spawned
-    /// per call. Each worker owns a contiguous chunk of the due set
-    /// and, through the precomputed spans, private disjoint
-    /// `&mut [Agent]` slices. Workers buffer events per leaf; the merge
-    /// after the join restores serial (leaf index) order, so the result
-    /// is bit-identical to [`LeafTier::run_due_serial`]. Kept as the
-    /// no-pool fallback and the baseline the pool is benchmarked
-    /// against.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn run_due_scoped(
-        &mut self,
-        now: SimTime,
-        due: &[usize],
-        threads: usize,
-        fused: bool,
-        failover: &mut FailoverState,
-        fleet: &mut Fleet,
-        events: &mut Vec<ControllerEvent>,
-        obs: &mut Observability,
-    ) {
-        let spans = self
-            .spans
-            .as_deref()
-            .expect("parallel path requires leaf spans");
-        {
-            let devices = &self.devices;
-            let (all_shards, ids) = obs.shard_ctx();
-            let controllers = carve(&mut self.controllers, due);
-            let networks = carve(&mut self.networks, due);
-            let aggregates = carve(&mut self.last_aggregate, due);
-            let failed = carve(failover.leaf_flags_mut(), due);
-            let bufs = carve(&mut self.event_bufs, due);
-            let wires = carve(&mut self.wire_bufs, due);
-            let wire_evs = carve(&mut self.wire_events, due);
-            let shards = carve(all_shards, due);
-            let quiets = carve(&mut self.quiet, due);
-            let absorb_chs = carve(&mut self.absorb_changed, due);
-            let absorb_ds = carve(&mut self.absorb_delta, due);
-            let (agents_all, limits_all, fsh) = fleet.fused_control_parts();
-            let agent_slices = split_agent_spans(agents_all, due.iter().map(|&i| spans[i].clone()));
-            let limit_slices =
-                dynpool::split_spans(limits_all, due.iter().map(|&i| spans[i].clone()));
-
-            let mut tasks: Vec<LeafTask> = Vec::with_capacity(due.len());
-            for (
-                (
-                    (
-                        (
-                            (((((((((&i, controller), network), aggregate), failed), buf), wire), wire_ev), shard), quiet),
-                            agents,
-                        ),
-                        limit,
-                    ),
-                    absorb_changed,
-                ),
-                absorb_delta,
-            ) in due
-                .iter()
-                .zip(controllers)
-                .zip(networks)
-                .zip(aggregates)
-                .zip(failed)
-                .zip(bufs)
-                .zip(wires)
-                .zip(wire_evs)
-                .zip(shards)
-                .zip(quiets)
-                .zip(agent_slices)
-                .zip(limit_slices)
-                .zip(absorb_chs)
-                .zip(absorb_ds)
-            {
-                tasks.push(LeafTask {
-                    device: devices[i],
-                    controller,
-                    network,
-                    aggregate,
-                    failed,
-                    buf,
-                    wire,
-                    wire_ev,
-                    quiet,
-                    agents,
-                    span_start: spans[i].start,
-                    shard,
-                    track: i as u32,
-                    limit,
-                    absorb_changed,
-                    absorb_delta,
-                });
-            }
-
-            let per_chunk = tasks.len().div_ceil(threads);
-            std::thread::scope(|scope| {
-                for chunk in tasks.chunks_mut(per_chunk) {
-                    scope.spawn(move || {
-                        for task in chunk {
-                            task.buf.clear();
-                            if fused {
-                                fuse_sync_leaf(
-                                    &fsh,
-                                    task.track as usize,
-                                    task.agents,
-                                    task.span_start,
-                                );
-                            }
-                            if *task.failed {
-                                *task.failed = false;
-                                *task.quiet = false;
-                                let name = task.controller.name_shared();
-                                record_leaf_failover(
-                                    task.shard,
-                                    ids,
-                                    now,
-                                    task.track,
-                                    Arc::clone(&name),
-                                );
-                                task.buf.push(ControllerEvent {
-                                    at: now,
-                                    device: task.device,
-                                    controller: name,
-                                    kind: ControllerEventKind::Failover,
-                                });
-                                wire_roundtrip_events(
-                                    task.controller,
-                                    task.buf,
-                                    task.wire,
-                                    task.wire_ev,
-                                );
-                            } else {
-                                *task.quiet = run_one_leaf_cycle(
-                                    now,
-                                    task.device,
-                                    task.controller,
-                                    task.network,
-                                    task.agents,
-                                    task.span_start,
-                                    task.aggregate,
-                                    task.buf,
-                                    task.shard,
-                                    ids,
-                                    task.track,
-                                );
-                                wire_roundtrip_events(
-                                    task.controller,
-                                    task.buf,
-                                    task.wire,
-                                    task.wire_ev,
-                                );
-                            }
-                            if fused {
-                                let (ch, d) = fuse_absorb_leaf(
-                                    &fsh,
-                                    task.track as usize,
-                                    task.agents,
-                                    task.span_start,
-                                    task.limit,
-                                    task.span_start,
-                                );
-                                *task.absorb_changed = ch;
-                                *task.absorb_delta = d;
-                            }
-                        }
-                    });
-                }
-            });
-        }
-
-        self.merge_parallel_events(due, failover, events);
+        self.merge_events(due, failover, events);
     }
 
     /// Captures the tier's dynamic state for a snapshot. Everything
@@ -786,11 +500,10 @@ impl LeafTier {
         Ok(())
     }
 
-    /// Deterministic merge after a parallel dispatch: drains per-leaf
-    /// event buffers in leaf index order, exactly as the serial loop
-    /// would have emitted. Failovers are recorded here because workers
-    /// cannot touch the shared counters.
-    fn merge_parallel_events(
+    /// Deterministic merge after a dispatch: drains per-leaf event
+    /// buffers in leaf index order. Failovers are recorded here because
+    /// lanes cannot touch the shared counters.
+    fn merge_events(
         &mut self,
         due: &[usize],
         failover: &mut FailoverState,
@@ -877,27 +590,10 @@ impl Snapshot for LeafTierState {
     }
 }
 
-/// Picks the elements of `slice` at the ascending indices `idxs` as
-/// simultaneous `&mut` borrows, via progressive `split_at_mut`.
-fn carve<'a, T>(mut slice: &'a mut [T], idxs: &[usize]) -> Vec<&'a mut T> {
-    let mut out = Vec::with_capacity(idxs.len());
-    let mut consumed = 0;
-    for &i in idxs {
-        let (_, rest) = slice.split_at_mut(i - consumed);
-        let (item, rest) = rest.split_first_mut().expect("index out of range");
-        out.push(item);
-        consumed = i + 1;
-        slice = rest;
-    }
-    out
-}
-
 /// One leaf controller cycle against its private agent span.
 ///
-/// `agents` is the slice of agents this leaf may touch and `span_start`
-/// the server id of `agents[0]` — the serial path passes the whole
-/// fleet with `span_start == 0`, the parallel path a disjoint per-leaf
-/// slice. Shared by both so they cannot drift apart.
+/// `agents` is the lane's slice of agents (covering this leaf's span)
+/// and `span_start` the server id of `agents[0]`.
 ///
 /// Returns whether the cycle was *quiescent* — a clean Hold with no
 /// pull failures and no caps left active — which is the controller-side
@@ -1018,6 +714,27 @@ fn run_one_leaf_cycle(
         && controller.active_cap_count() == 0
 }
 
+/// A primary failure noticed at leaf `track`'s due cycle: the backup
+/// takes over, so the cycle is skipped. Records the takeover in the
+/// leaf's shard and returns the `Failover` event.
+fn takeover(
+    now: SimTime,
+    device: DeviceId,
+    controller: &LeafController,
+    shard: &mut Shard,
+    ids: &ObsIds,
+    track: usize,
+) -> ControllerEvent {
+    let name = controller.name_shared();
+    record_leaf_failover(shard, ids, now, track as u32, Arc::clone(&name));
+    ControllerEvent {
+        at: now,
+        device,
+        controller: name,
+        kind: ControllerEventKind::Failover,
+    }
+}
+
 /// One controller event as a wire telemetry event. Lossless: the watt
 /// field crosses as the raw `f64` bit pattern and the counts are far
 /// below `u32::MAX`, so [`from_wire`] rebuilds an equal event.
@@ -1070,12 +787,11 @@ fn from_wire(ev: &TelemetryEvent, controller: &Arc<str>) -> ControllerEvent {
 }
 
 /// Round-trips one leaf's freshly-buffered cycle events through the
-/// [`dynrpc::codec`] telemetry-batch wire format, inside the worker
-/// shard that produced them. The deployed system serializes telemetry
-/// off the controller host; doing the encode *and* the decode here
-/// keeps that cost off the owner thread (which previously would have
-/// been the only place to put it) and proves the format lossless on
-/// every event the simulation ever emits. Quiescent leaves emit no
+/// [`dynrpc::codec`] telemetry-batch wire format, inside the pool lane
+/// that produced them. The deployed system serializes telemetry off the
+/// controller host; doing the encode *and* the decode here keeps that
+/// cost on the lanes instead of the serial merge, and proves the format
+/// lossless on every event the simulation ever emits. Quiescent leaves emit no
 /// events and skip entirely, so the steady state stays allocation-free;
 /// churning leaves reuse the warm wire/scratch buffers.
 fn wire_roundtrip_events(
@@ -1103,12 +819,12 @@ fn wire_roundtrip_events(
     }
 }
 
-/// Computes per-leaf agent spans for the parallel control plane.
+/// Computes per-leaf agent spans for the leaf dispatch.
 ///
 /// Returns `Some` only when every leaf's server ids form a contiguous
 /// ascending run and the runs tile `0..server_count` in leaf order —
 /// the precondition for handing each leaf a disjoint `&mut [Agent]`
-/// slice via `split_at_mut`. Grid topologies built by
+/// slice via `split_at_mut`. Topologies built by
 /// [`powerinfra::TopologyBuilder`] always satisfy this.
 fn compute_leaf_spans(
     leaf_server_ids: &[Vec<u32>],
@@ -1135,17 +851,6 @@ fn compute_leaf_spans(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn carve_yields_disjoint_mut_refs_at_the_requested_indices() {
-        let mut data = [10, 20, 30, 40, 50];
-        let picked = carve(&mut data, &[1, 2, 4]);
-        assert_eq!(picked.iter().map(|r| **r).collect::<Vec<_>>(), [20, 30, 50]);
-        for r in picked {
-            *r += 1;
-        }
-        assert_eq!(data, [10, 21, 31, 40, 51]);
-    }
 
     #[test]
     fn spans_require_contiguous_tiling() {

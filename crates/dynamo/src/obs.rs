@@ -2,12 +2,12 @@
 //! flight recorder wired through the controller hierarchy.
 //!
 //! One [`dynobs::Shard`] per leaf controller travels with the leaf
-//! through both the serial and the scoped-thread parallel execution
-//! paths, so hot-path recording is lock-free and allocation-free; after
-//! every leaf dispatch [`Observability::merge_leaves`] folds the due
-//! shards back in ascending leaf-index order — the same fixed order the
-//! serial path records in — which keeps the merged registry (float
-//! histogram sums included) bit-identical at any worker-thread count.
+//! into whichever pool lane runs it, so hot-path recording is
+//! lock-free and allocation-free; after every leaf dispatch
+//! [`Observability::merge_leaves`] folds the due shards back in
+//! ascending leaf-index order — a fixed order independent of the lane
+//! split — which keeps the merged registry (float histogram sums
+//! included) bit-identical at any pool width.
 //! Upper controllers and datacenter-level sources (breakers, the
 //! validator) always run serially and record into the registry
 //! directly.
@@ -25,7 +25,7 @@ use dynobs::{
 
 /// Tick phases instrumented by the `--profile-ticks` profiler, in the
 /// order `Datacenter::step` runs them. Index positions are frozen:
-/// [`Observability::observe_tick_phase`] takes the index, and the
+/// `Observability::observe_tick_phase` takes the index, and the
 /// exported metric family is `dynamo_tick_phase_seconds_<name>`.
 pub const TICK_PHASES: [&str; 7] = [
     "fleet_step",
@@ -129,9 +129,7 @@ fn register(b: &mut RegistryBuilder) -> ObsIds {
                     "Wall seconds per tick dispatching due controller cycles (both tiers)"
                 }
                 "validator" => "Wall seconds per tick in the breaker validator scan",
-                "fused_tile" => {
-                    "Wall seconds per tick in the fused tile-at-a-time settle pass"
-                }
+                "fused_tile" => "Wall seconds per tick in the fused tile-at-a-time settle pass",
                 _ => "Wall seconds per tick merging telemetry events and samples",
             },
             Buckets::log_linear(1e-6, 1, 16),
@@ -393,7 +391,7 @@ impl Observability {
     }
 
     /// The per-leaf shards and the metric ids, borrowed together for a
-    /// leaf dispatch (serial or carved across workers).
+    /// leaf dispatch (split across pool lanes).
     pub(crate) fn shard_ctx(&mut self) -> (&mut [Shard], &ObsIds) {
         (&mut self.shards, &self.ids)
     }
@@ -635,7 +633,8 @@ impl Observability {
         if !self.registry.is_enabled() {
             return;
         }
-        self.registry.observe(self.ids.tick_phase[phase as usize], secs);
+        self.registry
+            .observe(self.ids.tick_phase[phase as usize], secs);
     }
 
     /// The profiler's accumulated `(phase, ticks observed, total
@@ -773,9 +772,9 @@ impl Snapshot for ObservabilityState {
     }
 }
 
-/// Records a leaf failover into the leaf's shard — shared by the serial
-/// loop and the parallel workers so both paths buffer the identical
-/// records.
+/// Records a leaf failover into the leaf's shard — shared by the
+/// monitoring-only loop and the dispatch lanes so both buffer the
+/// identical records.
 pub(crate) fn record_leaf_failover(
     shard: &mut Shard,
     ids: &ObsIds,

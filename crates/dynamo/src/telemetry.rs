@@ -107,7 +107,7 @@ impl Telemetry {
     /// Appends controller events, keeping the store sorted by
     /// `(at, device)`.
     ///
-    /// The parallel leaf path merges per-leaf buffers in leaf-index
+    /// The leaf dispatch merges per-leaf buffers in leaf-index
     /// order and the event-driven dispatcher can interleave tiers, so a
     /// batch arrives grouped by controller, not by key; sorting here
     /// gives consumers one canonical order regardless of thread count

@@ -6,6 +6,7 @@
 //! as a nonzero count below.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -15,23 +16,35 @@ use powerinfra::TopologyBuilder;
 use serverpower::{ServerConfig, ServerGeneration};
 use workloads::ServiceKind;
 
-/// Counts heap operations while armed; forwards everything to the
-/// system allocator.
+/// Counts heap operations made by tracked threads while armed;
+/// forwards everything to the system allocator.
 struct CountingAlloc;
 
 static ARMED: AtomicBool = AtomicBool::new(false);
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Whether this thread's allocations count: set on the measuring
+    /// thread and, through a setup dispatch, on every lane of the pool
+    /// under test. The test harness's own threads never set it, so
+    /// their bookkeeping cannot leak into a measurement.
+    static TRACKED: Cell<bool> = const { Cell::new(false) };
+}
+
+fn counts() -> bool {
+    ARMED.load(Ordering::Relaxed) && TRACKED.try_with(Cell::get).unwrap_or(false)
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
+        if counts() {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
+        if counts() {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -45,14 +58,21 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// `ARMED` is process-global, so two tests measuring concurrently would
-/// count each other's warmup (and pool worker) allocations. Every test
+/// `ARMED` and `ALLOCS` are process-global, so two tests measuring
+/// concurrently would count each other's tracked threads. Every test
 /// takes this lock for its whole body; a poisoned lock (an earlier test
 /// failed) is fine — the counter state is reset per measurement.
 static SERIAL: Mutex<()> = Mutex::new(());
 
 fn serialize_test() -> MutexGuard<'static, ()> {
     SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Tracks the calling thread and every lane of `pool`: one setup job
+/// per lane sets the lane's thread-local flag.
+fn track_lanes(pool: &WorkerPool) {
+    pool.run_on(&mut vec![(); pool.workers()], |_, _| TRACKED.set(true));
+    TRACKED.set(true);
 }
 
 fn count_allocs(f: impl FnOnce()) -> u64 {
@@ -96,21 +116,17 @@ fn build() -> (Fleet, DynamoSystem) {
     build_with(ObsConfig::default())
 }
 
-/// Warms up, then counts heap operations across 20 leaf-only ticks.
-/// With `threads > 1` the fleet steps through [`Fleet::step_parallel`]
-/// and leaf cycles dispatch in parallel — onto the attached pool, if
-/// any.
-fn measure_steady_state(mut fleet: Fleet, mut system: DynamoSystem, threads: usize) -> u64 {
-    assert!(system.supports_parallel_leaves());
-    system.set_control_threads(threads);
+/// Warms up, then counts heap operations across 20 leaf-only ticks,
+/// with fleet physics and leaf cycles both dispatched onto one shared
+/// pool `width` lanes wide (width 1 runs the same `run_on` path as a
+/// single job on this thread).
+fn measure_steady_state(mut fleet: Fleet, mut system: DynamoSystem, width: usize) -> u64 {
+    let pool = Arc::new(WorkerPool::new(width));
+    fleet.attach_pool(Arc::clone(&pool));
+    system.attach_pool(Arc::clone(&pool));
+    track_lanes(&pool);
     let dt = SimDuration::from_secs(3);
-    let step = |fleet: &mut Fleet, now: SimTime| {
-        if threads > 1 {
-            fleet.step_parallel(now, dt, threads);
-        } else {
-            fleet.step(now, dt);
-        }
-    };
+    let step = |fleet: &mut Fleet, now: SimTime| fleet.step(now, dt);
 
     // Warm up: fill scratch buffers, controller state and event
     // vectors, covering both leaf (3 s) and upper (9 s) cycles.
@@ -176,10 +192,7 @@ fn steady_state_leaf_ticks_do_not_allocate_with_observability() {
 #[test]
 fn steady_state_pooled_ticks_do_not_allocate() {
     let _serial = serialize_test();
-    let (mut fleet, mut system) = build_with(ObsConfig::on());
-    let pool = Arc::new(WorkerPool::new(4));
-    fleet.attach_pool(Arc::clone(&pool));
-    system.attach_pool(pool);
+    let (fleet, system) = build_with(ObsConfig::on());
     assert_eq!(
         measure_steady_state(fleet, system, 4),
         0,
@@ -218,10 +231,7 @@ fn steady_state_active_set_ticks_do_not_allocate() {
 #[test]
 fn steady_state_active_set_pooled_ticks_do_not_allocate() {
     let _serial = serialize_test();
-    let (mut fleet, mut system) = build_active(ObsConfig::on(), 30);
-    let pool = Arc::new(WorkerPool::new(4));
-    fleet.attach_pool(Arc::clone(&pool));
-    system.attach_pool(pool);
+    let (fleet, system) = build_active(ObsConfig::on(), 30);
     assert_eq!(
         measure_steady_state(fleet, system, 4),
         0,
@@ -274,6 +284,7 @@ fn steady_state_grid_ticks_do_not_allocate() {
         .build();
     // Warm up past several leaf, upper and econ cycles.
     dc.run_for(SimDuration::from_secs(130));
+    track_lanes(dc.worker_pool());
     let mut measured = 0;
     let mut total = 0u64;
     while measured < 20 {
@@ -319,6 +330,7 @@ fn steady_state_parallel_profiled_grid_ticks_do_not_allocate() {
     // scratch buffer — including the per-worker wire/event buffers and
     // the fold chunk plan — reaches steady capacity.
     dc.run_for(SimDuration::from_secs(130));
+    track_lanes(dc.worker_pool());
     let mut measured = 0;
     let mut total = 0u64;
     while measured < 20 {
@@ -342,6 +354,7 @@ fn steady_state_parallel_profiled_grid_ticks_do_not_allocate() {
 fn idle_fleet_step_does_not_allocate() {
     let _serial = serialize_test();
     let (mut fleet, _system) = build();
+    TRACKED.set(true);
     let dt = SimDuration::from_secs(3);
     let mut now = SimTime::ZERO;
     for _ in 0..8 {

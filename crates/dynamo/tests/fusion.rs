@@ -115,7 +115,7 @@ fn fused_matches_unfused_under_fault_churn_across_threads_and_modes() {
         fingerprint(&dc)
     };
     for &threads in &[1usize, 2, 8, 64] {
-        for &mode in &[ParallelMode::Pooled, ParallelMode::Scoped] {
+        for &mode in &[ParallelMode::Pooled, ParallelMode::PooledAuto] {
             let mut dc = build(true, threads, mode);
             churn(&mut dc);
             let got = fingerprint(&dc);
@@ -128,7 +128,7 @@ fn fused_matches_unfused_under_fault_churn_across_threads_and_modes() {
     // And the unfused parallel paths against the same baseline, so a
     // fusion-conditional bug in the dispatch restructure cannot hide.
     for &threads in &[8usize] {
-        for &mode in &[ParallelMode::Pooled, ParallelMode::Scoped] {
+        for &mode in &[ParallelMode::Pooled, ParallelMode::PooledAuto] {
             let mut dc = build(false, threads, mode);
             churn(&mut dc);
             assert_eq!(

@@ -3,7 +3,7 @@
 //! Every metric is registered once at build time through a
 //! [`RegistryBuilder`]; after [`RegistryBuilder::build`] the set is
 //! frozen and recording a sample is an array write — no hashing, no
-//! locking, no heap. Hot-path writers (the scoped-thread leaf workers
+//! locking, no heap. Hot-path writers (the pooled leaf-dispatch lanes
 //! of the control plane) record into private [`Shard`]s; the owner
 //! merges shards back with [`Registry::merge_shard`] in a fixed order,
 //! which keeps floating-point histogram sums bit-identical at any

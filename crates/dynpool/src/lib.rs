@@ -1,25 +1,26 @@
 //! A persistent, deterministic worker pool for lockstep fan-out.
 //!
-//! The simulation's two hot fan-outs — fleet physics and same-instant
-//! leaf control cycles — used to spawn and join fresh
-//! [`std::thread::scope`] workers on **every** dispatch, paying thread
-//! creation (~tens of microseconds per worker) thousands of times per
-//! simulated minute. [`WorkerPool`] spawns its workers once, parks them
-//! between dispatches, and wakes them through per-worker atomic-flag
-//! mailboxes, so a warm dispatch costs two atomic transitions and an
-//! unpark per worker and touches the heap not at all.
+//! The simulation's hot fan-outs — fleet physics, same-instant leaf
+//! control cycles and the breaker-fold precompute — each run as one
+//! body dispatched through [`WorkerPool::run_on`], at every width. The
+//! pool spawns its workers once, parks them between dispatches, and
+//! wakes them through per-worker atomic-flag mailboxes, so a warm
+//! dispatch costs two atomic transitions and an unpark per woken worker
+//! and touches the heap not at all.
 //!
 //! # Dispatch model
 //!
-//! [`WorkerPool::run_on`] takes a slice of per-worker work items and a
-//! shared closure; worker `w` runs `f(w, &mut items[w])` and the call
-//! returns only after every worker has finished. The item→worker
-//! mapping is by index and therefore deterministic: results cannot
-//! depend on scheduling, core count, or how many workers the pool has
-//! beyond the item count. Callers that need deterministic *output*
-//! simply merge their items in index order after the call, exactly as
-//! the simulation's control plane merges leaf results in ascending
-//! leaf index.
+//! [`WorkerPool::run_on`] takes a slice of per-lane work items and a
+//! shared closure; lane `w` runs `f(w, &mut items[w])` and the call
+//! returns only after every lane has finished. Lane 0 always runs on
+//! the calling thread, so a width-`W` pool spawns `W − 1` threads and a
+//! width-1 pool spawns none: its dispatch is a plain call that touches
+//! no mailbox. The item→lane mapping is by index and therefore
+//! deterministic: results cannot depend on scheduling, core count, or
+//! how many lanes the pool has beyond the item count. Callers that
+//! need deterministic *output* simply merge their items in index order
+//! after the call, exactly as the simulation's control plane merges
+//! leaf results in ascending leaf index.
 //!
 //! # Safety
 //!
@@ -29,12 +30,15 @@
 //! same trick scoped-thread implementations use. Soundness rests on two
 //! structural guarantees, both enforced by `run_on` itself:
 //!
-//! * **No escape:** `run_on` does not return — even when a worker
-//!   panics — until every armed worker has signalled completion, so the
-//!   erased borrows never outlive the frame that owns them.
-//! * **No aliasing:** worker `w` receives `&mut items[w]` only, and
+//! * **No escape:** `run_on` does not return — even when a lane panics,
+//!   lane 0 on the caller included — until every armed worker has
+//!   signalled completion, so the erased borrows never outlive the
+//!   frame that owns them. A lane-0 panic is caught, the other lanes
+//!   are waited for, and only then is the panic resumed.
+//! * **No aliasing:** lane `w` receives `&mut items[w]` only, and
 //!   distinct indices are disjoint; the shared closure is accessed by
-//!   `&F` with `F: Sync`.
+//!   `&F` with `F: Sync`. Lane 0 reaches its item through the same
+//!   published raw pointer the workers use.
 
 #![warn(missing_docs)]
 
@@ -44,9 +48,9 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::{JoinHandle, Thread};
 
-/// Hard cap on pool size. Dispatch scratch at the call sites lives on
+/// Hard cap on pool width. Dispatch scratch at the call sites lives on
 /// the stack as fixed-size arrays of this length, so the cap keeps
-/// those arrays small; no realistic host or test needs more workers.
+/// those arrays small; no realistic host or test needs more lanes.
 pub const MAX_WORKERS: usize = 64;
 
 /// Worker mailbox states.
@@ -54,7 +58,7 @@ const IDLE: u32 = 0;
 const ARMED: u32 = 1;
 const SHUTDOWN: u32 = 2;
 
-/// One dispatch's type-erased job description, shared by all workers.
+/// One dispatch's type-erased job description, shared by all lanes.
 ///
 /// `items` points at the first element of the caller's `&mut [T]`,
 /// `func` at the caller's shared closure, and `call` is the
@@ -85,11 +89,12 @@ struct Shared {
     /// every worker is `IDLE`; read by workers strictly between the
     /// owner's `ARMED` store (Release) and their own completion signal.
     job: UnsafeCell<Job>,
-    /// Per-worker mailbox flags.
+    /// Mailbox flags of the spawned workers; entry `k` belongs to the
+    /// worker running lane `k + 1`.
     mailboxes: Vec<AtomicU32>,
     /// Workers finished in the current dispatch.
     done: AtomicUsize,
-    /// Workers armed in the current dispatch.
+    /// Workers armed in the current dispatch (lane 0 not counted).
     armed: AtomicUsize,
     /// A worker panicked in the current dispatch.
     panicked: AtomicBool,
@@ -107,8 +112,9 @@ struct Shared {
 unsafe impl Send for Shared {}
 unsafe impl Sync for Shared {}
 
-/// A fixed-size pool of dedicated worker threads, created once and
-/// parked between dispatches.
+/// A fixed-width pool: lane 0 is the dispatching thread, lanes
+/// `1..width` are dedicated worker threads created once and parked
+/// between dispatches.
 ///
 /// Dropping the pool shuts the workers down and joins them; no thread
 /// outlives the pool.
@@ -128,6 +134,7 @@ unsafe impl Sync for Shared {}
 /// ```
 pub struct WorkerPool {
     shared: Arc<Shared>,
+    /// Worker threads for lanes `1..width`.
     handles: Vec<JoinHandle<()>>,
     /// Serializes dispatches: `run_on` takes `&self` so the pool can be
     /// shared behind an `Arc`, but the wake/merge protocol supports one
@@ -136,8 +143,9 @@ pub struct WorkerPool {
 }
 
 impl WorkerPool {
-    /// Spawns `workers` dedicated threads, parked until the first
-    /// dispatch. Sizes above [`MAX_WORKERS`] are clamped.
+    /// Builds a pool `workers` lanes wide, spawning `workers − 1`
+    /// threads (lane 0 is whichever thread dispatches), parked until
+    /// the first dispatch. Widths above [`MAX_WORKERS`] are clamped.
     ///
     /// # Panics
     ///
@@ -145,21 +153,21 @@ impl WorkerPool {
     /// spawned.
     pub fn new(workers: usize) -> Self {
         assert!(workers >= 1, "worker pool needs at least one worker");
-        let workers = workers.min(MAX_WORKERS);
+        let spawned = workers.min(MAX_WORKERS) - 1;
         let shared = Arc::new(Shared {
             job: UnsafeCell::new(Job::none()),
-            mailboxes: (0..workers).map(|_| AtomicU32::new(IDLE)).collect(),
+            mailboxes: (0..spawned).map(|_| AtomicU32::new(IDLE)).collect(),
             done: AtomicUsize::new(0),
             armed: AtomicUsize::new(0),
             panicked: AtomicBool::new(false),
             owner: Mutex::new(None),
         });
-        let handles = (0..workers)
-            .map(|w| {
+        let handles = (1..=spawned)
+            .map(|lane| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
-                    .name(format!("dynpool-{w}"))
-                    .spawn(move || worker_loop(&shared, w))
+                    .name(format!("dynpool-{lane}"))
+                    .spawn(move || worker_loop(&shared, lane))
                     .expect("failed to spawn pool worker")
             })
             .collect();
@@ -170,23 +178,26 @@ impl WorkerPool {
         }
     }
 
-    /// Number of worker threads.
+    /// Number of lanes: the spawned workers plus the dispatching
+    /// thread.
     pub fn workers(&self) -> usize {
-        self.handles.len()
+        self.handles.len() + 1
     }
 
-    /// Runs `f(w, &mut items[w])` on worker `w` for every item and
-    /// blocks until all of them finish. With the pool warm this
-    /// dispatch performs no heap allocation.
+    /// Runs `f(w, &mut items[w])` on lane `w` for every item and blocks
+    /// until all of them finish. Lane 0 runs on the calling thread;
+    /// with a single item nothing else is touched. With the pool warm
+    /// this dispatch performs no heap allocation.
     ///
-    /// The item→worker mapping is by index, so the work assignment —
-    /// and therefore any result the caller assembles by item index — is
+    /// The item→lane mapping is by index, so the work assignment — and
+    /// therefore any result the caller assembles by item index — is
     /// deterministic regardless of scheduling.
     ///
     /// # Panics
     ///
-    /// Panics if `items` outnumber the workers, or — after all workers
-    /// have finished — if any worker panicked.
+    /// Panics if `items` outnumber the lanes, or — after every lane has
+    /// finished — if any lane panicked. A lane-0 panic is resumed with
+    /// its original payload.
     pub fn run_on<T, F>(&self, items: &mut [T], f: F)
     where
         T: Send,
@@ -194,38 +205,47 @@ impl WorkerPool {
     {
         let n = items.len();
         assert!(
-            n <= self.handles.len(),
+            n <= self.workers(),
             "{n} work items for {} workers",
-            self.handles.len()
+            self.workers()
         );
-        if n == 0 {
-            return;
+        match n {
+            0 => return,
+            1 => return f(0, &mut items[0]),
+            _ => {}
         }
         let _serialized = self.dispatch.lock().unwrap_or_else(|e| e.into_inner());
         let shared = &*self.shared;
         *shared.owner.lock().unwrap_or_else(|e| e.into_inner()) = Some(std::thread::current());
         shared.done.store(0, Ordering::Relaxed);
-        shared.armed.store(n, Ordering::Relaxed);
+        shared.armed.store(n - 1, Ordering::Relaxed);
         shared.panicked.store(false, Ordering::Relaxed);
+        let job = Job {
+            items: items.as_mut_ptr() as *mut (),
+            func: &f as *const F as *const (),
+            call: trampoline::<T, F>,
+        };
         // SAFETY: every mailbox is IDLE here (the previous dispatch
         // waited for all completions and run_on is serialized), so no
         // worker reads `job` while we write it; the Release stores
         // below publish it.
-        unsafe {
-            *shared.job.get() = Job {
-                items: items.as_mut_ptr() as *mut (),
-                func: &f as *const F as *const (),
-                call: trampoline::<T, F>,
-            };
+        unsafe { *shared.job.get() = job };
+        for lane in 1..n {
+            shared.mailboxes[lane - 1].store(ARMED, Ordering::Release);
+            self.handles[lane - 1].thread().unpark();
         }
-        for w in 0..n {
-            shared.mailboxes[w].store(ARMED, Ordering::Release);
-            self.handles[w].thread().unpark();
-        }
-        while shared.done.load(Ordering::Acquire) < n {
+        // SAFETY: lane 0's item is disjoint from every armed lane's, and
+        // `f` and `items` outlive the wait below.
+        let lane0 = panic::catch_unwind(AssertUnwindSafe(|| unsafe {
+            (job.call)(job.func, job.items, 0)
+        }));
+        while shared.done.load(Ordering::Acquire) < n - 1 {
             std::thread::park();
         }
         *shared.owner.lock().unwrap_or_else(|e| e.into_inner()) = None;
+        if let Err(payload) = lane0 {
+            panic::resume_unwind(payload);
+        }
         if shared.panicked.load(Ordering::Relaxed) {
             panic!("a pool worker thread panicked");
         }
@@ -251,7 +271,7 @@ impl Drop for WorkerPool {
 impl std::fmt::Debug for WorkerPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WorkerPool")
-            .field("workers", &self.handles.len())
+            .field("workers", &self.workers())
             .finish()
     }
 }
@@ -269,10 +289,12 @@ unsafe fn trampoline<T, F: Fn(usize, &mut T)>(func: *const (), items: *mut (), w
     f(w, item);
 }
 
-/// The body of worker `w`: wait for `ARMED`, run, signal, park.
-fn worker_loop(shared: &Shared, w: usize) {
+/// The body of the worker running `lane`: wait for `ARMED`, run,
+/// signal, park.
+fn worker_loop(shared: &Shared, lane: usize) {
+    let mailbox = &shared.mailboxes[lane - 1];
     loop {
-        match shared.mailboxes[w].load(Ordering::Acquire) {
+        match mailbox.load(Ordering::Acquire) {
             ARMED => {
                 // SAFETY: the Acquire load of ARMED synchronizes with
                 // the owner's Release store, which happens after the
@@ -282,12 +304,12 @@ fn worker_loop(shared: &Shared, w: usize) {
                 let result = panic::catch_unwind(AssertUnwindSafe(|| {
                     // SAFETY: see `trampoline`; the owning `run_on`
                     // frame is blocked until we signal done.
-                    unsafe { (job.call)(job.func, job.items, w) }
+                    unsafe { (job.call)(job.func, job.items, lane) }
                 }));
                 if result.is_err() {
                     shared.panicked.store(true, Ordering::Relaxed);
                 }
-                shared.mailboxes[w].store(IDLE, Ordering::Release);
+                mailbox.store(IDLE, Ordering::Release);
                 let finished = shared.done.fetch_add(1, Ordering::AcqRel) + 1;
                 if finished == shared.armed.load(Ordering::Acquire) {
                     if let Some(owner) = shared
@@ -306,56 +328,12 @@ fn worker_loop(shared: &Shared, w: usize) {
     }
 }
 
-/// Splits `items` into disjoint `&mut` slices, one per span, via
-/// progressive `split_at_mut`. Spans must be ascending and
-/// non-overlapping (elements between spans are skipped); each returned
-/// slice starts at its span's `start` index. This is the shard-carving
-/// primitive behind every per-span `&mut` partition the embedder hands
-/// to pool workers — kept here so all carve sites share one proof of
-/// disjointness.
-///
-/// # Panics
-///
-/// Panics if the spans are not ascending and disjoint or run past the
-/// end of `items`.
-pub fn split_spans<T>(
-    mut items: &mut [T],
-    spans: impl Iterator<Item = std::ops::Range<usize>>,
-) -> Vec<&mut [T]> {
-    let mut out = Vec::new();
-    let mut consumed = 0;
-    for span in spans {
-        let (_, rest) = items.split_at_mut(span.start - consumed);
-        let (mine, rest) = rest.split_at_mut(span.end - span.start);
-        out.push(mine);
-        consumed = span.end;
-        items = rest;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
     use std::sync::mpsc;
     use std::time::Duration;
-
-    #[test]
-    fn split_spans_carves_disjoint_slices_skipping_gaps() {
-        let mut data: Vec<u32> = (0..10).collect();
-        let slices = split_spans(&mut data, [0..3, 5..6, 8..10].into_iter());
-        assert_eq!(
-            slices.iter().map(|s| s.to_vec()).collect::<Vec<_>>(),
-            [vec![0, 1, 2], vec![5], vec![8, 9]]
-        );
-        for s in slices {
-            for x in s {
-                *x += 100;
-            }
-        }
-        assert_eq!(data, [100, 101, 102, 3, 4, 105, 6, 7, 108, 109]);
-    }
 
     #[test]
     fn runs_every_item_on_its_own_index() {
@@ -431,6 +409,75 @@ mod tests {
     }
 
     #[test]
+    fn lane_zero_panic_waits_for_every_other_lane() {
+        /// Marks lane 0's frame as unwound when the panic drops it.
+        struct Unwound<'a>(&'a AtomicBool);
+        impl Drop for Unwound<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::SeqCst);
+            }
+        }
+        let pool = WorkerPool::new(2);
+        let mut items = [0u8; 2];
+        let lane0_unwound = AtomicBool::new(false);
+        let lane1_finished = AtomicBool::new(false);
+        let result = panic::catch_unwind(AssertUnwindSafe(|| {
+            pool.run_on(&mut items, |w, item| {
+                if w == 0 {
+                    let _guard = Unwound(&lane0_unwound);
+                    panic!("lane zero");
+                }
+                // Lane 1 is still running after lane 0 has unwound:
+                // it finishes only once lane 0's frame is gone. The
+                // sleep gives a `run_on` that failed to wait time to
+                // return first; a correct one waits however long it is.
+                while !lane0_unwound.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+                std::thread::sleep(Duration::from_millis(50));
+                *item = 1;
+                lane1_finished.store(true, Ordering::SeqCst);
+            });
+        }));
+        let payload = result.expect_err("lane-0 panic should propagate");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"lane zero"));
+        assert!(
+            lane1_finished.load(Ordering::SeqCst),
+            "run_on unwound before lane 1 finished"
+        );
+        assert_eq!(items[1], 1);
+        // The pool survives a lane-0 panic.
+        pool.run_on(&mut items, |w, item| *item = w as u8 + 5);
+        assert_eq!(items, [5, 6]);
+    }
+
+    #[test]
+    fn width_one_runs_inline_on_the_caller() {
+        let pool = WorkerPool::new(1);
+        assert_eq!(pool.workers(), 1);
+        assert!(pool.handles.is_empty(), "width 1 must spawn no thread");
+        let mut seen = [None];
+        pool.run_on(&mut seen, |_, slot| {
+            *slot = Some(std::thread::current().id())
+        });
+        assert_eq!(seen[0], Some(std::thread::current().id()));
+    }
+
+    #[test]
+    fn lane_zero_runs_on_the_caller_and_the_rest_on_workers() {
+        let pool = WorkerPool::new(3);
+        assert_eq!(pool.handles.len(), 2, "width 3 spawns two workers");
+        let mut seen = [None; 3];
+        pool.run_on(&mut seen, |_, slot| {
+            *slot = Some(std::thread::current().id())
+        });
+        let me = std::thread::current().id();
+        assert_eq!(seen[0], Some(me));
+        assert!(seen[1].is_some() && seen[1] != Some(me));
+        assert!(seen[2].is_some() && seen[2] != Some(me) && seen[2] != seen[1]);
+    }
+
+    #[test]
     #[should_panic(expected = "work items for")]
     fn more_items_than_workers_panics() {
         let pool = WorkerPool::new(2);
@@ -452,6 +499,7 @@ mod tests {
     fn oversized_pool_clamps_to_max_workers() {
         let pool = WorkerPool::new(MAX_WORKERS + 40);
         assert_eq!(pool.workers(), MAX_WORKERS);
+        assert_eq!(pool.handles.len(), MAX_WORKERS - 1);
     }
 
     #[test]

@@ -257,7 +257,7 @@ pub fn step_batch_lanes(
 ///
 /// Bit-identity with the `f64`-mask kernel is by construction, not by
 /// rounding luck: each element's mask bits are materialized to exactly
-/// `0.0`/`1.0` and fed through the same [`step_element`] arithmetic, so
+/// `0.0`/`1.0` and fed through the same `step_element` arithmetic, so
 /// every intermediate is the identical `f64` expression. The `not_init`
 /// write-back `ni *= 1 - alive` is computed word-wide as
 /// `ni_word & !alive_word`, which is the same function on {0, 1}-valued
@@ -541,9 +541,12 @@ mod tests {
         words
     }
 
+    /// `(demand, limit, alive, not_init, out)` arrays of one batch.
+    type Batch = (Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>);
+
     /// A deterministic awkward-length batch mixing dead, uninitialized,
     /// capped, in-band and far-from-target servers.
-    fn churn_batch(n: usize) -> (Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>) {
+    fn churn_batch(n: usize) -> Batch {
         let mut demand = Vec::with_capacity(n);
         let mut limit = Vec::with_capacity(n);
         let mut alive = Vec::with_capacity(n);
@@ -560,7 +563,11 @@ mod tests {
             alive.push(if dead { 0.0 } else { 1.0 });
             let fresh = i % 17 == 8;
             not_init.push(if fresh { 1.0 } else { 0.0 });
-            out.push(if fresh { 0.0 } else { 90.0 + (i % 31) as f64 * 3.25 });
+            out.push(if fresh {
+                0.0
+            } else {
+                90.0 + (i % 31) as f64 * 3.25
+            });
         }
         (demand, limit, alive, not_init, out)
     }
